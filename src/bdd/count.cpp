@@ -1,35 +1,50 @@
 // Structural queries: support, node counts, minterm counting, evaluation,
 // and satisfying-cube extraction.
-#include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "bdd/bdd.hpp"
 
 namespace bfvr::bdd {
 
-std::vector<unsigned> Manager::support(const Bdd& f) {
+std::size_t Manager::supportBits(const Bdd& f,
+                                 std::span<std::uint64_t> bits) {
   const Edge root = requireSameManager(f);
-  std::vector<unsigned> vars;
   ++mark_epoch_;
   if (mark_epoch_ == 0) {
     for (Node& n : nodes_) n.mark = 0;
     mark_epoch_ = 1;
   }
+  // The terminal is pre-marked (it has no variable) and counted up front:
+  // every diagram reaches it.
+  nodes_[0].mark = mark_epoch_;
+  std::size_t count = 1;
   mark_stack_.clear();
   mark_stack_.push_back(index(root));
-  nodes_[0].mark = mark_epoch_;
   while (!mark_stack_.empty()) {
     const std::uint32_t i = mark_stack_.back();
     mark_stack_.pop_back();
     Node& n = nodes_[i];
     if (n.mark == mark_epoch_) continue;
     n.mark = mark_epoch_;
-    vars.push_back(n.var);
+    ++count;
+    bits[n.var >> 6] |= std::uint64_t{1} << (n.var & 63);
     mark_stack_.push_back(index(n.high));
     mark_stack_.push_back(index(n.low));
   }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  return count;
+}
+
+std::vector<unsigned> Manager::support(const Bdd& f) {
+  std::vector<std::uint64_t> bits((num_vars_ + 63) / 64, 0);
+  supportBits(f, bits);
+  std::vector<unsigned> vars;
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      vars.push_back(static_cast<unsigned>(w * 64) +
+                     static_cast<unsigned>(std::countr_zero(word)));
+    }
+  }
   return vars;
 }
 

@@ -20,10 +20,14 @@
 //  * per-component supports are bitsets maintained incrementally — after a
 //    slice union, only components whose edge actually changed are re-walked
 //    (identical raw edge => identical function => identical support);
-//  * per-component node counts are memoized alongside the supports, so the
+//  * one walk (Manager::supportBits) refills a component's support bits and
+//    its node count together, with no per-node list to sort and dedup;
+//  * the node counts are memoized alongside the supports, so the
 //    kSupportCost schedule reads them in O(1) instead of recounting inside
 //    its O(pending × n) cost loop. After an automatic reorder they can be
-//    stale until the component next changes; they only steer the heuristic.
+//    stale until the component next changes; they only steer the heuristic;
+//  * the BFV slice union is the region-split §2.3 core (union.cpp): one
+//    cofactor2 walk per differing operand component and a handful of ITEs.
 //
 // The loop is shared with the conjunctive-decomposition backend
 // (cdec::reparameterizeCdec), which plugs in its constrain-based union.
@@ -60,11 +64,10 @@ class SupportBits {
   explicit SupportBits(std::size_t num_vars)
       : words_((num_vars + 63) / 64, 0) {}
 
-  void assignFrom(const std::vector<unsigned>& vars) {
+  /// Refill from one walk of f's diagram; returns f's node count.
+  std::size_t assign(Manager& m, const Bdd& f) {
     std::fill(words_.begin(), words_.end(), 0);
-    for (const unsigned v : vars) {
-      words_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    }
+    return m.supportBits(f, words_);
   }
   bool test(unsigned v) const noexcept {
     return (words_[v >> 6] >> (v & 63)) & 1U;
@@ -99,8 +102,7 @@ std::vector<Bdd> quantifyParams(Manager& m, std::vector<Bdd> cur,
   std::vector<SupportBits> supports(n, SupportBits(num_vars));
   std::vector<std::size_t> node_counts(n, 0);
   auto rewalk = [&](std::size_t i) {
-    supports[i].assignFrom(m.support(cur[i]));
-    if (dynamic) node_counts[i] = m.nodeCount(cur[i]);
+    node_counts[i] = supports[i].assign(m, cur[i]);
   };
   for (std::size_t i = 0; i < n; ++i) rewalk(i);
 

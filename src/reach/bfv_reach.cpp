@@ -102,11 +102,12 @@ void runBfvBackend(sym::StateSpace& s, const ReachOptions& opts,
       break;
     }
   }
-  r.states = reached.countStates();
   r.bfv_nodes = reached.sharedSize();
   r.reached_bfv = reached;
-  // Table 3's chi size: built once, after the measured run.
+  // Table 3's chi size: built once, after the measured run. The state count
+  // reads the same chi rather than building another through countStates().
   r.reached_chi = reached.toChar();
+  r.states = m.satCount(r.reached_chi, reached.width());
   r.chi_nodes = m.nodeCount(r.reached_chi);
 }
 
@@ -190,10 +191,10 @@ void runCdecBackend(sym::StateSpace& s, const ReachOptions& opts,
       break;
     }
   }
-  r.states = reached.countStates();
   r.reached_bfv = reached.toBfv();
   r.bfv_nodes = r.reached_bfv->sharedSize();
   r.reached_chi = reached.toChar();
+  r.states = m.satCount(r.reached_chi, reached.width());
   r.chi_nodes = m.nodeCount(r.reached_chi);
 }
 

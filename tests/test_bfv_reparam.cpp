@@ -1,11 +1,13 @@
 // §2.6 re-parameterization: canonicalizing raw simulated vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "bfv/internal.hpp"
 #include "circuit/bench_io.hpp"
 #include "support/brute.hpp"
+#include "support/reference_union.hpp"
 #include "sym/simulate.hpp"
 
 namespace bfvr::bfv {
@@ -133,8 +135,10 @@ TEST(BfvReparam, ManyParametersFewValues) {
 // `referenceQuantifyParams` is a verbatim copy of internal::quantifyParams
 // before the incremental-support rewrite: it recomputes every component's
 // support from scratch after each quantification and re-counts nodes inside
-// the cost scan. Same math, brute force — the rewrite must be bit-identical
-// to it on real circuits, for both schedules.
+// the cost scan, and it unions the slices with test::referenceUnionCore,
+// the sweep from before the region-split rewrite. Same math, brute force —
+// the production loop must be bit-identical to it on real circuits, for
+// both schedules.
 
 struct RefQuantCost {
   std::size_t dependents = 0;
@@ -198,11 +202,48 @@ std::vector<Bdd> referenceQuantifyParams(Manager& m, std::vector<Bdd> cur,
         hi[i] = cur[i];
       }
     }
-    cur = internal::unionCore(m, choice, lo, hi);
+    cur = test::referenceUnionCore(m, choice, lo, hi);
     for (std::size_t i = 0; i < n; ++i) refresh(i);
     m.maybeGc();
   }
   return cur;
+}
+
+// Every slice pair quantifyParams hands its union: operands that still
+// depend on the parameters not yet quantified, which UnionSweep's operands
+// (canonical vectors over the choice variables alone) never do.
+struct SlicePairs {
+  std::size_t calls = 0;
+  std::size_t param_dependent = 0;
+  std::vector<unsigned> choice;  // sorted
+};
+SlicePairs g_slice_pairs;
+
+bool dependsOnlyOn(Manager& m, const std::vector<Bdd>& comps,
+                   const std::vector<unsigned>& sorted_vars) {
+  for (const Bdd& c : comps) {
+    for (const unsigned v : m.support(c)) {
+      if (!std::binary_search(sorted_vars.begin(), sorted_vars.end(), v)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// A SliceUnion that runs both cores and checks they return the same handles.
+std::vector<Bdd> checkedUnionCore(Manager& m, const std::vector<unsigned>& vars,
+                                  const std::vector<Bdd>& f,
+                                  const std::vector<Bdd>& g) {
+  std::vector<Bdd> got = internal::unionCore(m, vars, f, g);
+  const std::vector<Bdd> want = test::referenceUnionCore(m, vars, f, g);
+  ++g_slice_pairs.calls;
+  if (!dependsOnlyOn(m, f, g_slice_pairs.choice) ||
+      !dependsOnlyOn(m, g, g_slice_pairs.choice)) {
+    ++g_slice_pairs.param_dependent;
+  }
+  EXPECT_EQ(got, want) << "slice pair " << g_slice_pairs.calls;
+  return got;
 }
 
 class ReparamCircuitDiff : public ::testing::TestWithParam<const char*> {};
@@ -216,9 +257,14 @@ TEST_P(ReparamCircuitDiff, BitIdenticalToPreOverhaulLoop) {
   std::vector<unsigned> params = s.currentVars();
   params.insert(params.end(), s.inputVars().begin(), s.inputVars().end());
 
+  g_slice_pairs = SlicePairs{};
+  g_slice_pairs.choice = s.paramVars();
+  std::sort(g_slice_pairs.choice.begin(), g_slice_pairs.choice.end());
+
   // Walk a few image steps of the Fig. 2 flow; at each step compare the
   // rewritten quantification loop against the reference on the raw
-  // simulated vector. Same manager, deterministic kernels: identical
+  // simulated vector, and its union core against the reference core on
+  // every slice pair. Same manager, deterministic kernels: identical
   // handles, not just identical sets.
   Bfv from = Bfv::point(m, s.currentVars(), s.initialBits());
   for (int iter = 0; iter < 3; ++iter) {
@@ -228,8 +274,7 @@ TEST_P(ReparamCircuitDiff, BitIdenticalToPreOverhaulLoop) {
       ReparamOptions opts;
       opts.schedule = sched;
       const std::vector<Bdd> got = internal::quantifyParams(
-          m, sim.next_state, s.paramVars(), params, opts,
-          &internal::unionCore);
+          m, sim.next_state, s.paramVars(), params, opts, &checkedUnionCore);
       const std::vector<Bdd> want = referenceQuantifyParams(
           m, sim.next_state, s.paramVars(), params, opts);
       ASSERT_EQ(got.size(), want.size());
@@ -253,6 +298,12 @@ TEST_P(ReparamCircuitDiff, BitIdenticalToPreOverhaulLoop) {
     if (next == from) break;
     from = next;
     m.maybeGc();
+  }
+  // arb4's one image is a constant vector (its fixpoint takes one step), so
+  // nothing reaches the union there; every other circuit must exercise
+  // parameter-dependent operands.
+  if (std::string(GetParam()) != "arb4.bench") {
+    EXPECT_GT(g_slice_pairs.param_dependent, 0U) << GetParam();
   }
 }
 

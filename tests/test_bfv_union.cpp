@@ -2,7 +2,9 @@
 // sweeps for widths 3..5.
 #include <gtest/gtest.h>
 
+#include "bfv/internal.hpp"
 #include "support/brute.hpp"
+#include "support/reference_union.hpp"
 
 namespace bfvr::bfv {
 namespace {
@@ -28,6 +30,11 @@ TEST(BfvUnion, ExhaustiveWidth2) {
       ASSERT_TRUE(fu.checkCanonical());
       // Canonical: result equals direct construction.
       ASSERT_EQ(fu, test::bfvOf(m, vars, test::setUnionOf(a, b)));
+      if (!a.empty() && !b.empty()) {
+        ASSERT_EQ(internal::unionCore(m, vars, fa.comps(), fb.comps()),
+                  test::referenceUnionCore(m, vars, fa.comps(), fb.comps()))
+            << "a=" << am << " b=" << bm;
+      }
     }
   }
 }
@@ -51,6 +58,13 @@ TEST_P(UnionSweep, MatchesBruteForce) {
   EXPECT_EQ(test::setOf(fu), test::setUnionOf(a, b));
   // Commutativity in the canonical representation.
   EXPECT_EQ(fu, setUnion(fb, fa));
+  // Same handles as the pre-region-split sweep, in both operand orders.
+  if (!fa.isEmpty() && !fb.isEmpty()) {
+    EXPECT_EQ(internal::unionCore(m, vars, fa.comps(), fb.comps()),
+              test::referenceUnionCore(m, vars, fa.comps(), fb.comps()));
+    EXPECT_EQ(internal::unionCore(m, vars, fb.comps(), fa.comps()),
+              test::referenceUnionCore(m, vars, fb.comps(), fa.comps()));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, UnionSweep,

@@ -17,6 +17,7 @@
 #include "run/manifest.hpp"
 #include "run/run.hpp"
 #include "support/brute.hpp"
+#include "support/process_dir.hpp"
 #include "sym/space.hpp"
 
 namespace bfvr::run {
@@ -462,7 +463,7 @@ TEST(RunRetry, EscalationClimbsTheLadderToSuccess) {
 
 TEST(RunRetry, ResumesFromTheLatestCheckpoint) {
   const char* circuit = "gen:counter:8:200";
-  const std::string path = ::testing::TempDir() + "bfvr_retry_resume.bin";
+  const std::string path = test::processDir() + "/bfvr_retry_resume.bin";
   std::remove(path.c_str());
   JobSpec spec;
   spec.circuit = circuit;
@@ -618,8 +619,7 @@ TEST(RunResume, InMemoryImageContinuesBitIdentically) {
   const JobResult full = executeJob(ref);
   ASSERT_EQ(full.status, RunStatus::kDone);
 
-  const std::string ckpt =
-      ::testing::TempDir() + "bfvr_run_image_test.ckpt";
+  const std::string ckpt = test::processDir() + "/bfvr_run_image_test.ckpt";
   JobSpec half = ref;
   half.opts.checkpoint_path = ckpt;
   half.opts.checkpoint_every = 1;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/process_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/journal.hpp"
 #include "svc/server.hpp"
@@ -44,18 +45,17 @@ std::string sockPath(const char* tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-/// Fresh per-process journal directory; any journal left by a previous
-/// run under the same pid is removed so replay counts start from zero.
+/// Journal directory inside the process's own scratch directory; any
+/// journal an earlier test of this process left there is removed so replay
+/// counts start from zero.
 std::string journalDir(const char* tag) {
-  const std::string dir = "/tmp/bfvr_jrnl_" + std::string(tag) + "_" +
-                          std::to_string(::getpid());
+  const std::string dir = test::processDir() + "/jrnl_" + tag;
   ::unlink((dir + "/journal.bin").c_str());
   return dir;
 }
 
 std::string freshDir(const char* tag) {
-  const std::string dir = "/tmp/bfvr_dir_" + std::string(tag) + "_" +
-                          std::to_string(::getpid());
+  const std::string dir = test::processDir() + "/dir_" + tag;
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }
@@ -66,7 +66,7 @@ Server::Options baseOptions(const std::string& sock) {
   o.workers = 2;
   o.warm_managers = true;
   o.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
-  o.spool_dir = "/tmp";
+  o.spool_dir = test::processDir();
   o.checkpoint_every = 1;
   o.name = "svc-test";
   return o;

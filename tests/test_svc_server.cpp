@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/process_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 
@@ -33,7 +34,7 @@ Server::Options baseOptions(const std::string& sock) {
   o.workers = 2;
   o.warm_managers = true;
   o.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
-  o.spool_dir = "/tmp";
+  o.spool_dir = test::processDir();
   o.checkpoint_every = 1;
   o.name = "svc-test";
   return o;

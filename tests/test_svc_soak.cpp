@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/process_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 
@@ -64,11 +65,11 @@ TEST(SvcSoak, MultiTenantFairnessEvictionAndCleanShutdown) {
   opts.workers = 4;
   opts.warm_managers = true;
   opts.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
-  opts.spool_dir = "/tmp";
+  opts.spool_dir = test::processDir();
   opts.checkpoint_every = 1;
   opts.stream_iterations = false;  // throughput mode; eviction needs no feed
   opts.name = "soak";
-  opts.flight_dir = ::testing::TempDir();
+  opts.flight_dir = test::processDir();
   const std::string flight_path = opts.flight_dir + "/FLIGHT_soak.json";
   std::remove(flight_path.c_str());
   Server server(opts);
