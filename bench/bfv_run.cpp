@@ -4,18 +4,12 @@
 // engine portfolio, and aggregate every job's stats (and obs trace, when
 // traced) into one JOBS_<name>.json report.
 //
-//   bfv_run <manifest> [--workers N] [--threads N] [--deterministic]
-//           [--portfolio e1,e2,...] [--deadline S] [--trace] [--jobs[=path]]
-//           [--quiet] [--strict]
+//   bfv_run <manifest> [--workers N] [--portfolio e1,e2,...] [--deadline S]
+//           [--trace] [--jobs[=path]] [--quiet] [--strict]
 //   bfv_run --list-engines
 //
 //   --workers N        pool size (default 1: deterministic, bit-identical
 //                      op counts to running the engines directly)
-//   --threads N        BDD-kernel threads per job (intra-operation
-//                      parallelism), overriding any per-line threads= key;
-//                      1 = the exact sequential kernel
-//   --deterministic    force threads=1 on every job regardless of flags or
-//                      manifest keys — bit-identical op counts guaranteed
 //   --portfolio LIST   race EVERY manifest line under these engines,
 //                      overriding any per-line portfolio= key
 //   --deadline S       default wall-clock deadline for jobs without one
@@ -52,8 +46,6 @@ namespace {
 struct Args {
   std::string manifest;
   unsigned workers = 1;
-  unsigned threads = 0;  // 0 = keep each line's threads= key (default 1)
-  bool deterministic = false;
   std::vector<run::EngineKind> portfolio;  // empty = per-line setting
   double default_deadline = 0.0;
   bool force_trace = false;
@@ -89,12 +81,6 @@ bool parseArgs(int argc, char** argv, Args& a) {
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-    } else if (arg == "--threads" && i + 1 < argc) {
-      a.threads = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      a.threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
-    } else if (arg == "--deterministic") {
-      a.deterministic = true;
     } else if (arg == "--deadline" && i + 1 < argc) {
       a.default_deadline = std::stod(argv[++i]);
     } else if (arg.rfind("--deadline=", 0) == 0) {
@@ -192,10 +178,9 @@ int main(int argc, char** argv) {
   Args args;
   if (!parseArgs(argc, argv, args)) {
     std::fprintf(stderr,
-                 "usage: %s <manifest> [--workers N] [--threads N] "
-                 "[--deterministic] [--portfolio e1,e2,...] [--deadline S] "
-                 "[--trace] [--jobs[=path]] [--quiet] [--strict] | "
-                 "--list-engines\n",
+                 "usage: %s <manifest> [--workers N] [--portfolio e1,e2,...] "
+                 "[--deadline S] [--trace] [--jobs[=path]] [--quiet] "
+                 "[--strict] | --list-engines\n",
                  argv[0]);
     return 2;
   }
@@ -213,11 +198,6 @@ int main(int argc, char** argv) {
       e.spec.deadline_seconds = args.default_deadline;
     }
     if (args.force_trace) e.spec.opts.trace = true;
-    if (args.deterministic) {
-      e.spec.mgr.threads = 1;
-    } else if (args.threads > 0) {
-      e.spec.mgr.threads = args.threads;
-    }
   }
 
   const Timer total;

@@ -22,28 +22,15 @@
 //    differently (see sym/space.hpp); sifting can then re-permute at runtime.
 //  * The unique table is split per variable (CUDD-style subtables) so the
 //    adjacent-level swap touches only the nodes of the level being moved.
-//  * Threading: with Config::threads == 1 (the default) a Manager is
-//    single-threaded state — one Manager per thread, exactly the historical
-//    contract, and every code path is bit-identical to the sequential-only
-//    build. With Config::threads > 1 the manager owns a small work-stealing
-//    pool (bdd/par.hpp) and runs its apply-family kernels task-parallel:
-//    the unique table is guarded by 64 sharded spinlocks keyed by variable,
-//    node allocation by one allocation lock, and the computed cache is
-//    replaced by a lossy seqlock-published concurrent cache. Public
-//    operations are still issued by ONE external thread at a time; the
-//    parallelism is internal (plus parallelInvoke() for component-level
-//    fan-out). GC, reordering and checkpointing need no stop-the-world
-//    machinery: every forked task is joined by its parent frame before the
-//    public operation returns (or unwinds), so the pool is quiescent at
-//    every sequential safe point by construction.
+//  * Threading: a Manager is single-threaded state; one Manager per thread.
+//    Parallelism lives above it, across jobs (run::WorkerPool, portfolio
+//    racing, the service workers), each job on a manager of its own.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -80,56 +67,7 @@ inline std::uint64_t hash3(std::uint64_t a, std::uint64_t b,
   return h;
 }
 
-/// Pause/relax hint for spin loops.
-inline void cpuRelax() noexcept {
-#if defined(__SSE2__)
-  _mm_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Tiny test-and-test-and-set spinlock used by the parallel kernel paths
-/// (unique-table shards, node allocation, handle registry). Critical
-/// sections are a handful of loads/stores, so spinning beats a mutex; the
-/// contended counter feeds the bfvr_bdd_par_shard_contention metric.
-struct Spinlock {
-  std::atomic<bool> locked{false};
-  std::atomic<std::uint64_t> contended{0};
-
-  void lock() noexcept {
-    if (!locked.exchange(true, std::memory_order_acquire)) return;
-    contended.fetch_add(1, std::memory_order_relaxed);
-    for (;;) {
-      while (locked.load(std::memory_order_relaxed)) cpuRelax();
-      if (!locked.exchange(true, std::memory_order_acquire)) return;
-    }
-  }
-  void unlock() noexcept { locked.store(false, std::memory_order_release); }
-};
-
-/// Internal unwind signal of the parallel allocator: the node store hit its
-/// reserved capacity mid-region, but the configured budget still allows
-/// growth. Reallocating nodes_ while workers read it lock-free is UB, so
-/// the allocation site throws this instead; withPressure catches it at the
-/// operation boundary — the region has unwound and every task is joined —
-/// grows the store, and reruns the operation. Never escapes the manager.
-struct ParCapacityExhausted {};
-
-/// RAII guard: unlocks on scope exit, including exceptional unwind (node
-/// budget / cancellation can throw from inside locked sections).
-struct SpinGuard {
-  Spinlock& lk;
-  explicit SpinGuard(Spinlock& l) noexcept : lk(l) { lk.lock(); }
-  ~SpinGuard() { lk.unlock(); }
-  SpinGuard(const SpinGuard&) = delete;
-  SpinGuard& operator=(const SpinGuard&) = delete;
-};
-
 }  // namespace detail
-
-class ParPool;
-struct ParTask;
 
 /// Internal edge handle: (node index << 1) | complement bit.
 using Edge = std::uint32_t;
@@ -272,29 +210,6 @@ struct OpStats {
   }
   std::uint64_t opMisses(OpTag t) const noexcept {
     return op_cache_misses[static_cast<std::size_t>(t)];
-  }
-
-  /// Field-wise accumulation, used to fold the per-worker counter slots of
-  /// a parallel region back into the manager's main stats. Totals stay
-  /// exact in parallel mode; only the split across threads is scheduling-
-  /// dependent.
-  OpStats& operator+=(const OpStats& o) noexcept {
-    top_ops += o.top_ops;
-    recursive_steps += o.recursive_steps;
-    cache_lookups += o.cache_lookups;
-    cache_hits += o.cache_hits;
-    cache_inserts += o.cache_inserts;
-    cache_collisions += o.cache_collisions;
-    nodes_created += o.nodes_created;
-    gc_runs += o.gc_runs;
-    reorder_runs += o.reorder_runs;
-    reorder_swaps += o.reorder_swaps;
-    reorder_nodes_saved += o.reorder_nodes_saved;
-    for (std::size_t i = 0; i < kNumOpTags; ++i) {
-      op_cache_hits[i] += o.op_cache_hits[i];
-      op_cache_misses[i] += o.op_cache_misses[i];
-    }
-    return *this;
   }
 
   /// Field-wise difference `this - before`: the counters spent between two
@@ -477,27 +392,6 @@ class Manager {
       bool emergency_reorder = true;
     };
     PressureLadder pressure_ladder;
-    /// Worker threads for intra-operation parallelism. 1 (the default)
-    /// keeps every code path bit-identical to the historical sequential
-    /// manager — same OpStats, same structures, no locks taken. Values > 1
-    /// spawn `threads - 1` pool workers (clamped to kMaxThreads) and run
-    /// the apply-family kernels task-parallel; results (BDD roots, state
-    /// counts) are identical, op counters are totals-exact but the
-    /// split across cache/step counters is schedule-dependent.
-    unsigned threads = 1;
-  };
-
-  /// Upper clamp on Config::threads (shard count and deque bookkeeping are
-  /// sized for this).
-  static constexpr unsigned kMaxThreads = 64;
-
-  /// Monotone counters of the parallel machinery, for the
-  /// `bfvr_bdd_par_*` metrics. All zero when threads == 1.
-  struct ParCounters {
-    std::uint64_t tasks_spawned = 0;     ///< tasks forked to the pool
-    std::uint64_t tasks_stolen = 0;      ///< tasks executed by a non-owner
-    std::uint64_t shard_contention = 0;  ///< contended shard/alloc lock waits
-    std::uint64_t cache_races = 0;       ///< lossy concurrent-cache races
   };
 
   explicit Manager(unsigned num_vars);
@@ -646,25 +540,6 @@ class Manager {
   /// NOT part of OpStats; it is reset separately via resetPeak().
   void resetStats() noexcept { stats_ = OpStats{}; }
 
-  // ---- parallelism (par.cpp) ----------------------------------------------
-  /// Configured thread count (1 = sequential).
-  unsigned threads() const noexcept { return cfg_.threads; }
-  /// Run the given bodies concurrently on the manager's pool, returning
-  /// when all have finished. The first body runs on the calling thread;
-  /// the rest are forked as pool tasks. Bodies may perform full public
-  /// manager operations (apply family, cofactors, handle construction) but
-  /// must only touch PRE-EXISTING variables (no ensureVar growth) and must
-  /// not call gc()/reorder()/checkpoint entry points. With threads == 1
-  /// (or when already inside a parallel region) the bodies simply run
-  /// sequentially in order. The first exception thrown by any body is
-  /// rethrown after all bodies have completed.
-  void parallelInvoke(std::span<const std::function<void()>> fns);
-  /// Snapshot of the parallel-machinery counters (all zero sequentially).
-  ParCounters parCounters() const noexcept;
-  /// Tasks currently forked and not yet joined — 0 at every public-API
-  /// boundary by construction (fork/join discipline). Test hook.
-  std::size_t parPendingTasks() const noexcept;
-
   /// Install (or clear, with nullptr) the sink that receives GC, reorder,
   /// cache-resize and node-budget events. The manager does not own the
   /// sink; it must outlive the registration. Near-zero cost when unset.
@@ -714,7 +589,7 @@ class Manager {
   void resizeCache(unsigned bits);
   /// Current number of computed-cache slots.
   std::size_t cacheSlots() const noexcept {
-    return (par_enabled_ ? pcache_sets_ : cache_keys_.size()) * kCacheWays;
+    return cache_keys_.size() * kCacheWays;
   }
 
   /// Graphviz dump of the given (labelled) functions, for debugging & docs.
@@ -723,7 +598,6 @@ class Manager {
 
  private:
   friend class Bdd;
-  friend class ParPool;  // workers bind their stats slot and run tasks
 
   struct Node {
     std::uint32_t var;   // variable index (NOT level); kTermVar for the
@@ -880,10 +754,6 @@ class Manager {
   /// Insert (op,a,b,c) -> (r, r2), evicting the stalest way of a full set.
   void cacheInsert(std::uint32_t op, Edge a, Edge b, Edge c, Edge r, Edge r2);
   bool cacheLookup(std::uint32_t op, Edge a, Edge b, Edge c, Edge& out) {
-    if (par_enabled_) {
-      Edge out2;
-      return pcacheLookup(op, a, b, c, out, out2);
-    }
     const std::size_t i = cacheFind(op, a, b, c);
     if (i == kCacheMiss) return false;
     out = cache_data_[i / kCacheWays].result[i % kCacheWays].result;
@@ -891,7 +761,6 @@ class Manager {
   }
   bool cacheLookup2(std::uint32_t op, Edge a, Edge b, Edge c, Edge& out,
                     Edge& out2) {
-    if (par_enabled_) return pcacheLookup(op, a, b, c, out, out2);
     const std::size_t i = cacheFind(op, a, b, c);
     if (i == kCacheMiss) return false;
     const CacheResult& r = cache_data_[i / kCacheWays].result[i % kCacheWays];
@@ -900,44 +769,11 @@ class Manager {
     return true;
   }
   void cacheStore(std::uint32_t op, Edge a, Edge b, Edge c, Edge r) {
-    if (par_enabled_) {
-      pcacheInsert(op, a, b, c, r, 0);
-      return;
-    }
     cacheInsert(op, a, b, c, r, 0);
   }
   void cacheStore2(std::uint32_t op, Edge a, Edge b, Edge c, Edge r, Edge r2) {
-    if (par_enabled_) {
-      pcacheInsert(op, a, b, c, r, r2);
-      return;
-    }
     cacheInsert(op, a, b, c, r, r2);
   }
-
-  // -- concurrent computed cache (threads > 1 only) ---------------------------
-  /// One set of the parallel computed cache: the same 4-way aging design as
-  /// the sequential cache, published per-set through a seqlock. Writers
-  /// bump `ver` to odd with a CAS (losing the CAS skips the insert — the
-  /// cache is lossy by contract), fill the ways with relaxed stores, and
-  /// release-publish `ver` back to even. Readers validate `ver` around
-  /// relaxed payload loads; a torn read is counted as a race and reported
-  /// as a miss. Node-field visibility for cached edges rides the acquire
-  /// load of `ver` paired with the writer's release store.
-  struct alignas(64) PCacheSet {
-    std::atomic<std::uint32_t> ver;
-    std::atomic<std::uint8_t> gen[kCacheWays];
-    std::atomic<std::uint32_t> op[kCacheWays];
-    std::atomic<Edge> a[kCacheWays];
-    std::atomic<Edge> b[kCacheWays];
-    std::atomic<Edge> c[kCacheWays];
-    std::atomic<Edge> r[kCacheWays];
-    std::atomic<Edge> r2[kCacheWays];
-  };
-  bool pcacheLookup(std::uint32_t op, Edge a, Edge b, Edge c, Edge& out,
-                    Edge& out2);
-  void pcacheInsert(std::uint32_t op, Edge a, Edge b, Edge c, Edge r, Edge r2);
-  /// Drop every parallel-cache entry (sequential safe points only).
-  void pcacheClear() noexcept;
 
   // -- events ------------------------------------------------------------------
   /// Forward an event to the installed sink (no-op without one). The
@@ -963,39 +799,17 @@ class Manager {
   /// run bare: only the outermost operation owns the retry loop.
   template <typename F>
   auto withPressure(F&& f) {
-    // Public operations issued from inside a parallel region (the bodies of
-    // parallelInvoke run on pool workers) must run bare: the retry loop
-    // mutates manager-global state and its relief rungs (gc, reorder) are
-    // only legal at sequential points. The outermost operation that OPENED
-    // the region still owns a retry loop — tasks are joined before its
-    // region unwinds, so relief runs quiesced.
-    if (in_par_region_.load(std::memory_order_relaxed)) return f();
-    if (!cfg_.pressure_ladder.enabled || in_pressure_op_) {
-      if (!par_enabled_) return f();
-      // Bare entry on a parallel manager: no relief rungs, but capacity
-      // exhaustion inside a region must still grow-and-retry here — the
-      // sequential allocator would simply have grown the vector.
-      for (;;) {
-        try {
-          return f();
-        } catch (const detail::ParCapacityExhausted&) {
-          growParCapacity();
-        }
-      }
-    }
+    if (!cfg_.pressure_ladder.enabled || in_pressure_op_) return f();
     struct Scope {  // exception-safe reset of the outermost-op flag
       bool& flag;
       explicit Scope(bool& fl) : flag(fl) { flag = true; }
       ~Scope() { flag = false; }
     } scope(in_pressure_op_);
-    for (unsigned rung = 0;;) {
+    for (unsigned rung = 0;; ++rung) {
       try {
         return f();
       } catch (const NodeBudgetExceeded&) {
         if (!relieve(rung)) throw;
-        ++rung;
-      } catch (const detail::ParCapacityExhausted&) {
-        growParCapacity();  // does not consume a relief rung
       }
     }
   }
@@ -1011,57 +825,6 @@ class Manager {
   Edge composeRec(Edge f, std::uint32_t var, Edge g);
   /// Fused dual cofactor: returns f|var=0 and writes f|var=1 to `hi`.
   Edge cofactor2Rec(Edge f, std::uint32_t var, Edge& hi);
-
-  // -- task-parallel kernels (par.cpp; threads > 1 only) ----------------------
-  // Semantically identical twins of the sequential kernels above that fork
-  // the LOW Shannon branch as a pool task while the caller descends the
-  // HIGH branch inline, when `depth` is above water and the pool is hungry.
-  // Node-by-node results are identical (mkNode is canonicalizing and the
-  // unique table is shared); only op-counter *distribution* and cache
-  // population order differ from the sequential kernels.
-  Edge andParRec(Edge f, Edge g, unsigned depth);
-  Edge xorParRec(Edge f, Edge g, unsigned depth);
-  Edge iteParRec(Edge f, Edge g, Edge h, unsigned depth);
-  Edge existsParRec(Edge f, Edge cube, unsigned depth);
-  Edge andExistsParRec(Edge f, Edge g, Edge cube, unsigned depth);
-  Edge cofactor2ParRec(Edge f, std::uint32_t var, Edge& hi, unsigned depth);
-  /// Dispatch one forked task (called by pool workers and by join helping).
-  void runParTask(ParTask& t);
-  /// Fork only above this recursion depth: below it subproblems are too
-  /// small to amortize a deque push + steal.
-  static constexpr unsigned kParMaxForkDepth = 24;
-
-  /// RAII bracket around the parallel execution of one public operation:
-  /// reserves node-store headroom (nodes_ must not reallocate while workers
-  /// read it lock-free), flips in_par_region_, and on exit folds the
-  /// workers' OpStats slots into stats_. Inert when the manager is
-  /// sequential or the region is already open (nested public ops issued by
-  /// parallelInvoke bodies). Defined in par.cpp.
-  struct ParRegion {
-    Manager* m = nullptr;
-    explicit ParRegion(Manager& mgr);
-    ~ParRegion();
-    ParRegion(const ParRegion&) = delete;
-    ParRegion& operator=(const ParRegion&) = delete;
-  };
-
-  void setupParallel();
-  void ensureParHeadroom();
-  /// Sequential-point response to ParCapacityExhausted: double the node
-  /// store's reserved capacity (bounded by max_nodes when set).
-  void growParCapacity();
-  void mergeParStats() noexcept;
-  Edge mkNodePar(std::uint32_t var, Edge high, Edge low);
-  std::uint32_t allocNodePar();
-
-  /// Counter sink for the current thread: pool workers write their private
-  /// slot (bound once at worker start), every other thread writes stats_
-  /// directly. Sequential managers always take the stats_ arm, so their
-  /// counter behavior is bit-identical to the historical code.
-  OpStats& curStats() noexcept {
-    OpStats* s = tl_stats_;
-    return s != nullptr ? *s : stats_;
-  }
 
   // -- GC ----------------------------------------------------------------------
   /// Mark every node reachable from e; returns how many were newly marked.
@@ -1108,34 +871,6 @@ class Manager {
   bool auto_event_ = false;  // inside maybeGc(): events are "automatic"
   Bdd* handles_ = nullptr;  // head of intrusive handle registry
   std::vector<std::uint32_t> mark_stack_;
-
-  // -- parallel machinery (all unused / null when threads == 1) --------------
-  /// Unique-table shard count; shard of variable v is v & (kNumShards - 1).
-  static constexpr std::size_t kNumShards = 64;
-  struct alignas(64) ShardLock {
-    detail::Spinlock lk;
-  };
-  bool par_enabled_ = false;                  // cfg_.threads > 1
-  std::unique_ptr<ParPool> pool_;             // workers + deques (par.hpp)
-  std::unique_ptr<ShardLock[]> shard_locks_;  // kNumShards, keyed by var
-  /// Parallel-mode interrupt stride clock: a monotonic allocation counter
-  /// shared by all threads, polled OUTSIDE alloc_lock_ so a slow user
-  /// callback never stalls other allocating threads (allocNodePar).
-  std::atomic<std::uint32_t> par_interrupt_tick_{0};
-  detail::Spinlock alloc_lock_;    // free list / node store / fault clocks
-  detail::Spinlock handle_lock_;   // Bdd handle registry (link/unlink)
-  detail::Spinlock event_lock_;    // serializes sink callbacks in par mode
-  std::unique_ptr<PCacheSet[]> pcache_;  // concurrent computed cache
-  std::size_t pcache_sets_ = 0;
-  std::uint32_t pcache_mask_ = 0;
-  std::atomic<std::uint32_t> pcache_gen_{1};   // shared aging generation
-  std::atomic<std::uint64_t> pcache_races_{0}; // lossy publish/probe races
-  std::atomic<bool> in_par_region_{false};     // a public op is running wide
-  /// Per-thread counter sink (see curStats) and cache-aging tick. Static
-  /// thread_locals: a pool worker serves exactly one manager, so the slot
-  /// binding is unambiguous; non-worker threads leave tl_stats_ null.
-  inline static thread_local OpStats* tl_stats_ = nullptr;
-  inline static thread_local std::uint32_t tl_cache_tick_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -1227,115 +962,6 @@ inline void Manager::cacheInsert(std::uint32_t op, Edge a, Edge b, Edge c,
   ks.way[w] = CacheKey{a, b, c, op};
   data.result[w] = CacheResult{r, r2};
   data.gen[w] = now;
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent computed cache (threads > 1). Same per-step cost class as the
-// sequential probe: one set index, up to four key compares, and the seqlock
-// validation pair.
-// ---------------------------------------------------------------------------
-
-inline bool Manager::pcacheLookup(std::uint32_t op, Edge a, Edge b, Edge c,
-                                  Edge& out, Edge& out2) {
-  OpStats& st = curStats();
-  ++st.cache_lookups;
-  const std::size_t set =
-      detail::hash3((static_cast<std::uint64_t>(op) << 32) | a, b, c) &
-      pcache_mask_;
-  PCacheSet& s = pcache_[set];
-  // Seqlock read: acquire the version (synchronizes with the publishing
-  // writer, making the cached nodes' fields visible), relaxed-load the
-  // payload, then validate the version did not move. An in-flight or
-  // intervening write is a lossy race: count it, report a miss.
-  const std::uint32_t v0 = s.ver.load(std::memory_order_acquire);
-  if ((v0 & 1U) == 0) {
-    for (std::size_t w = 0; w < kCacheWays; ++w) {
-      if (s.op[w].load(std::memory_order_relaxed) == op &&
-          s.a[w].load(std::memory_order_relaxed) == a &&
-          s.b[w].load(std::memory_order_relaxed) == b &&
-          s.c[w].load(std::memory_order_relaxed) == c) {
-        const Edge r = s.r[w].load(std::memory_order_relaxed);
-        const Edge r2 = s.r2[w].load(std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (s.ver.load(std::memory_order_relaxed) == v0) {
-          s.gen[w].store(
-              static_cast<std::uint8_t>(
-                  pcache_gen_.load(std::memory_order_relaxed)),
-              std::memory_order_relaxed);
-          ++st.cache_hits;
-          ++st.op_cache_hits[static_cast<std::size_t>(tagOf(op))];
-          out = r;
-          out2 = r2;
-          return true;
-        }
-        pcache_races_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-  } else {
-    pcache_races_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ++st.op_cache_misses[static_cast<std::size_t>(tagOf(op))];
-  return false;
-}
-
-inline void Manager::pcacheInsert(std::uint32_t op, Edge a, Edge b, Edge c,
-                                  Edge r, Edge r2) {
-  OpStats& st = curStats();
-  ++st.cache_inserts;
-  if (++tl_cache_tick_ >= kCacheGenPeriod) {
-    tl_cache_tick_ = 0;
-    pcache_gen_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::size_t set =
-      detail::hash3((static_cast<std::uint64_t>(op) << 32) | a, b, c) &
-      pcache_mask_;
-  PCacheSet& s = pcache_[set];
-  // Seqlock write, lossy on contention: if another writer holds the set
-  // (odd version) or wins the CAS, simply drop the insert — the result is
-  // recomputable and the recursion keyed on it has already returned.
-  std::uint32_t v = s.ver.load(std::memory_order_relaxed);
-  if ((v & 1U) != 0 ||
-      !s.ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-    pcache_races_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Canonical seqlock writer ordering: the odd version must be visible
-  // before any payload store (the CAS alone does not order the relaxed
-  // stores below after it on weakly-ordered hardware). This release fence
-  // pairs with the reader's acquire fence: a reader that observes any of
-  // the new payload must also observe the odd/advanced version on its
-  // validation load, so a torn way can never validate.
-  std::atomic_thread_fence(std::memory_order_release);
-  const std::uint8_t now = static_cast<std::uint8_t>(
-      pcache_gen_.load(std::memory_order_relaxed));
-  // Victim selection mirrors the sequential cache: first empty way, else
-  // the stalest mod-256 age.
-  std::size_t w = 0;
-  std::uint8_t stale_age = 0;
-  for (std::size_t i = 0; i < kCacheWays; ++i) {
-    if (s.op[i].load(std::memory_order_relaxed) == 0) {
-      w = i;
-      stale_age = 0xFF;
-      break;
-    }
-    const std::uint8_t age = static_cast<std::uint8_t>(
-        now - s.gen[i].load(std::memory_order_relaxed));
-    if (age >= stale_age) {
-      stale_age = age;
-      w = i;
-    }
-  }
-  if (s.op[w].load(std::memory_order_relaxed) != 0) ++st.cache_collisions;
-  s.a[w].store(a, std::memory_order_relaxed);
-  s.b[w].store(b, std::memory_order_relaxed);
-  s.c[w].store(c, std::memory_order_relaxed);
-  s.r[w].store(r, std::memory_order_relaxed);
-  s.r2[w].store(r2, std::memory_order_relaxed);
-  s.gen[w].store(now, std::memory_order_relaxed);
-  s.op[w].store(op, std::memory_order_relaxed);
-  s.ver.store(v + 2, std::memory_order_release);
 }
 
 }  // namespace bfvr::bdd

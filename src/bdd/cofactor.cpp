@@ -9,7 +9,7 @@
 namespace bfvr::bdd {
 
 Bdd Manager::cofactor(const Bdd& f, unsigned var, bool value) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   ensureVar(var);
   // f|v=c is composition of the constant c for v.
   const Edge g = value ? kTrueEdge : kFalseEdge;
@@ -43,7 +43,7 @@ Edge Manager::cofactor2Rec(Edge f, std::uint32_t var, Edge& hi) {
     hi ^= parity;
     return lo ^ parity;
   }
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   // Both children's cofactor pairs in the same walk, then one mkNode per
   // output slice. Children's cofactors no longer contain var, so their
   // levels stay strictly below top's and mkNode's invariants hold.
@@ -58,14 +58,11 @@ Edge Manager::cofactor2Rec(Edge f, std::uint32_t var, Edge& hi) {
 }
 
 std::pair<Bdd, Bdd> Manager::cofactor2(const Bdd& f, unsigned var) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   ensureVar(var);
   return withPressure([&] {
-    ParRegion region(*this);
     Edge hi = kFalseEdge;
-    const Edge lo = par_enabled_
-                        ? cofactor2ParRec(requireSameManager(f), var, hi, 0)
-                        : cofactor2Rec(requireSameManager(f), var, hi);
+    const Edge lo = cofactor2Rec(requireSameManager(f), var, hi);
     return std::pair<Bdd, Bdd>{make(lo), make(hi)};
   });
 }
@@ -80,7 +77,7 @@ Edge Manager::constrainRec(Edge f, Edge c) {
   if (f == negate(c)) return kFalseEdge;
   Edge out;
   if (cacheLookup(kOpConstrain, f, c, 0, out)) return out;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t lf = level(f);
   const std::uint32_t lc = level(c);
   const std::uint32_t top = std::min(lf, lc);
@@ -101,7 +98,7 @@ Edge Manager::constrainRec(Edge f, Edge c) {
 }
 
 Bdd Manager::constrain(const Bdd& f, const Bdd& c) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   const Edge ce = requireSameManager(c);
   if (ce == kFalseEdge) {
     throw std::invalid_argument("constrain with unsatisfiable care set");
@@ -130,7 +127,7 @@ Edge Manager::restrictRec(Edge f, Edge c) {
   if (isConstEdge(c)) return f;  // c == TRUE (FALSE cannot arise from |)
   Edge out;
   if (cacheLookup(kOpRestrict, f, c, 0, out)) return out;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t lc = level(c);
   const Edge fh = highOf(f);
   const Edge fl = lowOf(f);
@@ -153,7 +150,7 @@ Edge Manager::restrictRec(Edge f, Edge c) {
 }
 
 Bdd Manager::restrict(const Bdd& f, const Bdd& c) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   const Edge ce = requireSameManager(c);
   if (ce == kFalseEdge) {
     throw std::invalid_argument("restrict with unsatisfiable care set");

@@ -14,7 +14,7 @@ Edge Manager::composeRec(Edge f, std::uint32_t var, Edge g) {
   const std::uint32_t op = kOpComposeBase + var;
   Edge out;
   if (cacheLookup(op, f, g, 0, out)) return out;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t top = varOf(f);
   Edge r;
   if (top == var) {
@@ -36,7 +36,7 @@ Edge Manager::composeRec(Edge f, std::uint32_t var, Edge g) {
 }
 
 Bdd Manager::compose(const Bdd& f, unsigned var, const Bdd& g) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   ensureVar(var);
   return withPressure([&] {
     return make(composeRec(requireSameManager(f), var, requireSameManager(g)));
@@ -79,7 +79,7 @@ struct VectorComposer {
 }  // namespace
 
 Bdd Manager::vectorCompose(const Bdd& f, std::span<const Bdd> map) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   requireSameManager(f);
   for (const Bdd& m : map) {
     if (!m.isNull()) requireSameManager(m);
@@ -94,7 +94,7 @@ Bdd Manager::vectorCompose(const Bdd& f, std::span<const Bdd> map) {
 }
 
 Bdd Manager::permute(const Bdd& f, std::span<const unsigned> perm) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   std::vector<Bdd> map(perm.size());
   for (std::size_t i = 0; i < perm.size(); ++i) {
     if (perm[i] != i) map[i] = var(perm[i]);

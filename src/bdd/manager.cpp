@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "bdd/par.hpp"
 #include "util/stats.hpp"
 
 namespace bfvr::bdd {
@@ -99,16 +98,6 @@ Bdd::~Bdd() { unlink(); }
 
 void Bdd::link() noexcept {
   if (mgr_ == nullptr) return;
-  // Parallel managers: handles are created/destroyed on pool workers too
-  // (parallelInvoke bodies build Bdds), so the intrusive list needs a lock.
-  if (mgr_->par_enabled_) {
-    detail::SpinGuard g(mgr_->handle_lock_);
-    prev_ = nullptr;
-    next_ = mgr_->handles_;
-    if (next_ != nullptr) next_->prev_ = this;
-    mgr_->handles_ = this;
-    return;
-  }
   prev_ = nullptr;
   next_ = mgr_->handles_;
   if (next_ != nullptr) next_->prev_ = this;
@@ -117,17 +106,6 @@ void Bdd::link() noexcept {
 
 void Bdd::unlink() noexcept {
   if (mgr_ == nullptr) return;
-  if (mgr_->par_enabled_) {
-    detail::SpinGuard g(mgr_->handle_lock_);
-    if (prev_ != nullptr) {
-      prev_->next_ = next_;
-    } else {
-      mgr_->handles_ = next_;
-    }
-    if (next_ != nullptr) next_->prev_ = prev_;
-    prev_ = next_ = nullptr;
-    return;
-  }
   if (prev_ != nullptr) {
     prev_->next_ = next_;
   } else {
@@ -213,74 +191,16 @@ Manager::Manager(unsigned num_vars, Config cfg)
   cache_keys_.assign(sets, CacheKeySet{});
   cache_data_.assign(sets, CacheSetData{});
   cache_set_mask_ = static_cast<std::uint32_t>(sets - 1);
-  setupParallel();
   if (num_vars > 0) ensureVar(num_vars - 1);
 }
 
 Manager::~Manager() {
-  pool_.reset();  // workers down before any manager state goes away
   // Orphan any handles that outlive the manager (they become null).
   for (Bdd* h = handles_; h != nullptr;) {
     Bdd* next = h->next_;
     h->mgr_ = nullptr;
     h->prev_ = h->next_ = nullptr;
     h = next;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel machinery lifecycle (kernels and pool live in par.cpp/par.hpp).
-// ---------------------------------------------------------------------------
-
-void Manager::setupParallel() {
-  const std::size_t sets =
-      std::max(std::size_t{1} << cfg_.cache_bits, kCacheWays) / kCacheWays;
-  if (cfg_.threads > 1) {
-    par_enabled_ = true;
-    if (shard_locks_ == nullptr) {
-      shard_locks_ = std::make_unique<ShardLock[]>(kNumShards);
-    }
-    if (pcache_ == nullptr || pcache_sets_ != sets) {
-      pcache_ = std::make_unique<PCacheSet[]>(sets);  // value-init: all empty
-      pcache_sets_ = sets;
-      pcache_mask_ = static_cast<std::uint32_t>(sets - 1);
-    } else {
-      pcacheClear();
-    }
-    pcache_gen_.store(1, std::memory_order_relaxed);
-    // The sequential cache is dead weight in parallel mode; keep one set so
-    // the (never-hit-in-par) sequential helpers stay well-defined.
-    if (cache_keys_.size() != 1) {
-      cache_keys_.assign(1, CacheKeySet{});
-      cache_data_.assign(1, CacheSetData{});
-      cache_set_mask_ = 0;
-    }
-    const unsigned workers = std::min(cfg_.threads, kMaxThreads) - 1;
-    if (pool_ == nullptr || pool_->workers() != workers) {
-      pool_ = std::make_unique<ParPool>(*this, workers);
-    }
-  } else {
-    par_enabled_ = false;
-    pool_.reset();
-    shard_locks_.reset();
-    pcache_.reset();
-    pcache_sets_ = 0;
-    pcache_mask_ = 0;
-    if (cache_keys_.size() != sets) {
-      cache_keys_.assign(sets, CacheKeySet{});
-      cache_data_.assign(sets, CacheSetData{});
-      cache_set_mask_ = static_cast<std::uint32_t>(sets - 1);
-    }
-  }
-}
-
-void Manager::pcacheClear() noexcept {
-  for (std::size_t s = 0; s < pcache_sets_; ++s) {
-    PCacheSet& set = pcache_[s];
-    for (std::size_t w = 0; w < kCacheWays; ++w) {
-      set.op[w].store(0, std::memory_order_relaxed);
-    }
-    set.ver.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -318,7 +238,6 @@ Edge Manager::mkNode(std::uint32_t var, Edge high, Edge low) {
   assert(var < num_vars_);
   assert(isConstEdge(high) || level(high) > var2level_[var]);
   assert(isConstEdge(low) || level(low) > var2level_[var]);
-  if (par_enabled_) return mkNodePar(var, high, low);
   SubTable& st = subtables_[var];
   const std::size_t slot = subSlot(st, high, low);
   for (std::uint32_t i = st.buckets[slot]; i != kNil; i = nodes_[i].next) {
@@ -341,39 +260,7 @@ Edge Manager::mkNode(std::uint32_t var, Edge high, Edge low) {
   return idx << 1;
 }
 
-/// Parallel twin of the mkNode body below: identical probe/insert/grow
-/// logic, executed under the variable's shard lock. Two variables on the
-/// same shard serialize; different shards run concurrently. Reads of OTHER
-/// variables' nodes (level/highOf in the kernels) stay lock-free: node
-/// fields are immutable after publication and every edge a thread can name
-/// arrived through a synchronizing channel (task fork/join, the seqlock
-/// cache, or this shard lock).
-Edge Manager::mkNodePar(std::uint32_t var, Edge high, Edge low) {
-  detail::SpinGuard shard(shard_locks_[var & (kNumShards - 1)].lk);
-  SubTable& st = subtables_[var];
-  const std::size_t slot = subSlot(st, high, low);
-  for (std::uint32_t i = st.buckets[slot]; i != kNil; i = nodes_[i].next) {
-    const Node& n = nodes_[i];
-    if (n.high == high && n.low == low) {
-      return i << 1;
-    }
-  }
-  const std::uint32_t idx = allocNode();  // takes alloc_lock_ inside
-  Node& n = nodes_[idx];
-  n.var = var;
-  n.high = high;
-  n.low = low;
-  n.mark = 0;
-  n.next = st.buckets[slot];
-  st.buckets[slot] = idx;
-  ++st.count;
-  ++curStats().nodes_created;
-  if (st.count > st.buckets.size()) growSubTable(var);
-  return idx << 1;
-}
-
 std::uint32_t Manager::allocNode() {
-  if (par_enabled_) return allocNodePar();
   // Fault-injection point: an armed plan's allocation clock ticks on every
   // allocation outside reordering (swap atomicity, as below). Also a
   // cooperative interrupt poll. Skipped while reordering: an adjacent-level
@@ -408,66 +295,6 @@ std::uint32_t Manager::allocNode() {
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
-/// Parallel twin of allocNode: the free list, in-use accounting, fault
-/// clocks and store growth all live under alloc_lock_ (SpinGuard unlocks
-/// on the throw paths). The user interrupt callback is polled BEFORE the
-/// lock: it is arbitrary user code and may be slow or block, and every
-/// other allocating thread would spin-wait at full CPU for the duration
-/// if it ran inside the critical section. The fault hooks stay under the
-/// lock — their clocks are plain members, and the hooks themselves are
-/// internal O(1) throw-or-return points, never blocking.
-/// The extra capacity guard keeps
-/// nodes_ from reallocating while workers read it lock-free — ParRegion
-/// reserved headroom at region entry. A mid-region capacity hit surfaces
-/// as NodeBudgetExceeded when the configured budget is genuinely spent
-/// (the ladder's GC refills the free list without growing the store), and
-/// as ParCapacityExhausted otherwise, which withPressure answers with a
-/// quiesced growParCapacity() + rerun.
-std::uint32_t Manager::allocNodePar() {
-  // Cooperative interrupt poll, outside the spinlock (see above). The
-  // stride clock is a shared monotonic counter; the modulo keeps it
-  // reset-free and race-free under concurrent increments. interrupt_check_
-  // is only (un)installed at sequential points, so the unlocked read is
-  // safe.
-  if (!reordering_ && interrupt_check_ &&
-      (par_interrupt_tick_.fetch_add(1, std::memory_order_relaxed) + 1) %
-              kInterruptStride ==
-          0) {
-    interrupt_check_();
-  }
-  detail::SpinGuard g(alloc_lock_);
-  if (!reordering_ && fault_armed_) {
-    faultAllocTick();
-    if (++interrupt_tick_ >= kInterruptStride) {
-      interrupt_tick_ = 0;
-      faultPollTick();
-    }
-  }
-  if (free_list_ != kNil) {
-    const std::uint32_t idx = free_list_;
-    free_list_ = nodes_[idx].next;
-    ++in_use_;
-    if (in_use_ > peak_nodes_) peak_nodes_ = in_use_;
-    return idx;
-  }
-  if (!reordering_ && cfg_.max_nodes != 0 && nodes_.size() >= cfg_.max_nodes) {
-    emitEvent(ManagerEvent::Kind::kNodeBudget, in_use_, cfg_.max_nodes, 0.0);
-    throw NodeBudgetExceeded(cfg_.max_nodes, in_use_);
-  }
-  if (in_par_region_.load(std::memory_order_relaxed) &&
-      nodes_.size() == nodes_.capacity()) {
-    if (!reordering_ && cfg_.max_nodes != 0 &&
-        nodes_.capacity() >= cfg_.max_nodes) {
-      throw NodeBudgetExceeded(nodes_.capacity(), in_use_);
-    }
-    throw detail::ParCapacityExhausted{};
-  }
-  nodes_.push_back(Node{});
-  ++in_use_;
-  if (in_use_ > peak_nodes_) peak_nodes_ = in_use_;
-  return static_cast<std::uint32_t>(nodes_.size() - 1);
-}
-
 void Manager::growSubTable(std::uint32_t var) {
   SubTable& st = subtables_[var];
   std::vector<std::uint32_t> old = std::move(st.buckets);
@@ -494,16 +321,9 @@ void Manager::resizeCache(unsigned bits) {
   const Timer timer;
   const std::size_t sets =
       std::max(std::size_t{1} << bits, kCacheWays) / kCacheWays;
-  if (par_enabled_) {
-    // Sequential safe point (ladder / reconfigure): no probes in flight.
-    pcache_ = std::make_unique<PCacheSet[]>(sets);
-    pcache_sets_ = sets;
-    pcache_mask_ = static_cast<std::uint32_t>(sets - 1);
-  } else {
-    cache_keys_.assign(sets, CacheKeySet{});
-    cache_data_.assign(sets, CacheSetData{});
-    cache_set_mask_ = static_cast<std::uint32_t>(sets - 1);
-  }
+  cache_keys_.assign(sets, CacheKeySet{});
+  cache_data_.assign(sets, CacheSetData{});
+  cache_set_mask_ = static_cast<std::uint32_t>(sets - 1);
   cfg_.cache_bits = bits;
   emitEvent(ManagerEvent::Kind::kCacheResize, before, cacheSlots(),
             timer.seconds());
@@ -519,13 +339,6 @@ void Manager::emitEvent(ManagerEvent::Kind kind, std::size_t before,
   e.seconds = seconds;
   e.automatic = auto_event_;
   e.rung = rung;
-  if (par_enabled_) {
-    // kNodeBudget can fire concurrently from several workers; sinks are
-    // written single-threaded, so serialize the callback.
-    detail::SpinGuard g(event_lock_);
-    sink_->onManagerEvent(e);
-    return;
-  }
   sink_->onManagerEvent(e);
 }
 
@@ -691,7 +504,6 @@ void Manager::gc() {
   // keys alone suffices (op == 0 marks a way empty); stale results and
   // gens are unreachable until their way is re-keyed.
   std::fill(cache_keys_.begin(), cache_keys_.end(), CacheKeySet{});
-  if (par_enabled_) pcacheClear();
   // Adapt the threshold: if little was reclaimed, collect less often.
   if (live * 4 > gc_threshold_ * 3) {
     gc_threshold_ = gc_threshold_ * 2;
@@ -721,7 +533,6 @@ bool Manager::resetForReuse() {
   next_reorder_at_ = cfg_.reorder_threshold;
   cache_gen_ = 1;
   cache_gen_tick_ = 0;
-  pcache_gen_.store(1, std::memory_order_relaxed);
   stats_ = OpStats{};
   peak_nodes_ = in_use_;
   return true;
@@ -730,19 +541,10 @@ bool Manager::resetForReuse() {
 bool Manager::reconfigure(const Config& cfg) {
   if (num_vars_ != 0 || in_use_ != 1 || handles_ != nullptr) return false;
   const unsigned had_bits = cfg_.cache_bits;
-  const bool had_par = par_enabled_;
   cfg_ = cfg;
   gc_threshold_ = cfg_.gc_threshold;
   next_reorder_at_ = cfg_.reorder_threshold;
-  // setupParallel reshapes both caches and the pool for either direction of
-  // a threads change (it keeps a matching pool across warm reuse). The
-  // sequential-to-sequential case keeps the historical resize-on-bits-change
-  // behavior exactly.
-  if (cfg_.threads > 1 || had_par) {
-    setupParallel();
-  } else if (cfg_.cache_bits != had_bits) {
-    resizeCache(cfg_.cache_bits);
-  }
+  if (cfg_.cache_bits != had_bits) resizeCache(cfg_.cache_bits);
   return true;
 }
 

@@ -21,7 +21,7 @@ Edge Manager::andRec(Edge f, Edge g) {
   if (f > g) std::swap(f, g);
   Edge out;
   if (cacheLookup(kOpAnd, f, g, 0, out)) return out;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t lf = level(f);
   const std::uint32_t lg = level(g);
   const std::uint32_t top = std::min(lf, lg);
@@ -60,7 +60,7 @@ Edge Manager::xorRec(Edge f, Edge g) {
   if (f > g) std::swap(f, g);
   Edge out;
   if (cacheLookup(kOpXor, f, g, 0, out)) return out ^ parity;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t lf = level(f);
   const std::uint32_t lg = level(g);
   const std::uint32_t top = std::min(lf, lg);
@@ -113,7 +113,7 @@ Edge Manager::iteRec(Edge f, Edge g, Edge h) {
   }
   Edge out;
   if (cacheLookup(kOpIte, f, g, h, out)) return out ^ parity;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t lf = level(f);
   const std::uint32_t lg = level(g);
   const std::uint32_t lh = level(h);
@@ -144,7 +144,7 @@ Edge Manager::existsRec(Edge f, Edge cube) {
   if (cube == kTrueEdge) return f;
   Edge out;
   if (cacheLookup(kOpExists, f, cube, 0, out)) return out;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t top = level(f);
   const Edge fh = highOf(f);
   const Edge fl = lowOf(f);
@@ -180,7 +180,7 @@ Edge Manager::andExistsRec(Edge f, Edge g, Edge cube) {
   if (cube == kTrueEdge) return andRec(f, g);
   Edge out;
   if (cacheLookup(kOpAndExists, f, g, cube, out)) return out;
-  ++curStats().recursive_steps;
+  ++stats_.recursive_steps;
   const std::uint32_t lf = level(f);
   const std::uint32_t lg = level(g);
   const Edge fh = lf == top ? highOf(f) : f;
@@ -212,84 +212,57 @@ Edge Manager::andExistsRec(Edge f, Edge g, Edge cube) {
 // Each wrapper retries under the pressure ladder (withPressure): at this
 // boundary the operands are handle-protected, so a failed attempt's partial
 // results are collectible garbage and the relieve() GC is safe.
-//
-// With threads > 1, the wrapper opens a ParRegion (node-store headroom, the
-// in-par-region flag, stats merge on exit) and runs the task-parallel twin
-// of its kernel (par.cpp). Sequentially, ParRegion is inert and the ternary
-// takes the historical kernel — bit-identical behavior.
 
 Bdd Manager::ite(const Bdd& f, const Bdd& g, const Bdd& h) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   return withPressure([&] {
-    ParRegion region(*this);
-    const Edge fe = requireSameManager(f);
-    const Edge ge = requireSameManager(g);
-    const Edge he = requireSameManager(h);
-    return make(par_enabled_ ? iteParRec(fe, ge, he, 0) : iteRec(fe, ge, he));
+    return make(iteRec(requireSameManager(f), requireSameManager(g),
+                       requireSameManager(h)));
   });
 }
 
 Bdd Manager::andB(const Bdd& f, const Bdd& g) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   return withPressure([&] {
-    ParRegion region(*this);
-    const Edge fe = requireSameManager(f);
-    const Edge ge = requireSameManager(g);
-    return make(par_enabled_ ? andParRec(fe, ge, 0) : andRec(fe, ge));
+    return make(andRec(requireSameManager(f), requireSameManager(g)));
   });
 }
 
 Bdd Manager::orB(const Bdd& f, const Bdd& g) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   return withPressure([&] {
-    ParRegion region(*this);
-    const Edge fe = negate(requireSameManager(f));
-    const Edge ge = negate(requireSameManager(g));
-    return make(
-        negate(par_enabled_ ? andParRec(fe, ge, 0) : andRec(fe, ge)));
+    return make(negate(
+        andRec(negate(requireSameManager(f)), negate(requireSameManager(g)))));
   });
 }
 
 Bdd Manager::xorB(const Bdd& f, const Bdd& g) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   return withPressure([&] {
-    ParRegion region(*this);
-    const Edge fe = requireSameManager(f);
-    const Edge ge = requireSameManager(g);
-    return make(par_enabled_ ? xorParRec(fe, ge, 0) : xorRec(fe, ge));
+    return make(xorRec(requireSameManager(f), requireSameManager(g)));
   });
 }
 
 Bdd Manager::exists(const Bdd& f, const Bdd& cube) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   return withPressure([&] {
-    ParRegion region(*this);
-    const Edge fe = requireSameManager(f);
-    const Edge ce = requireSameManager(cube);
-    return make(par_enabled_ ? existsParRec(fe, ce, 0) : existsRec(fe, ce));
+    return make(existsRec(requireSameManager(f), requireSameManager(cube)));
   });
 }
 
 Bdd Manager::forall(const Bdd& f, const Bdd& cube) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   return withPressure([&] {
-    ParRegion region(*this);
-    const Edge fe = negate(requireSameManager(f));
-    const Edge ce = requireSameManager(cube);
-    return make(
-        negate(par_enabled_ ? existsParRec(fe, ce, 0) : existsRec(fe, ce)));
+    return make(negate(
+        existsRec(negate(requireSameManager(f)), requireSameManager(cube))));
   });
 }
 
 Bdd Manager::andExists(const Bdd& f, const Bdd& g, const Bdd& cube) {
-  ++curStats().top_ops;
+  ++stats_.top_ops;
   return withPressure([&] {
-    ParRegion region(*this);
-    const Edge fe = requireSameManager(f);
-    const Edge ge = requireSameManager(g);
-    const Edge ce = requireSameManager(cube);
-    return make(par_enabled_ ? andExistsParRec(fe, ge, ce, 0)
-                             : andExistsRec(fe, ge, ce));
+    return make(andExistsRec(requireSameManager(f), requireSameManager(g),
+                             requireSameManager(cube)));
   });
 }
 

@@ -3,7 +3,6 @@
 #include "bfv/bfv.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -121,41 +120,6 @@ Bdd Bfv::toChar() const {
   if (empty_) return mgr_->zero();
   // chi = AND_i (v_i XNOR f_i): the conjunctive-decomposition identity of
   // §2.7 — valid because canonical sets satisfy "X in S iff F(X) == X".
-  if (mgr_->threads() > 1 && comps_.size() > 1) {
-    // Materialize the choice-variable BDDs up front: variable creation may
-    // grow manager tables and must stay on the owner thread.
-    std::vector<Bdd> vs(comps_.size());
-    for (std::size_t i = 0; i < comps_.size(); ++i) {
-      vs[i] = mgr_->var(vars_[i]);
-    }
-    // Inputs (vs, comps_) and outputs (terms) stay disjoint so each body is
-    // idempotent: the pressure ladder inside parallelInvoke may rerun the
-    // whole batch after a mid-batch NodeBudgetExceeded/capacity throw.
-    std::vector<Bdd> terms(comps_.size());
-    std::vector<std::function<void()>> fns;
-    fns.reserve(comps_.size());
-    for (std::size_t i = 0; i < comps_.size(); ++i) {
-      fns.push_back(
-          [this, &vs, &terms, i] { terms[i] = mgr_->xnorB(vs[i], comps_[i]); });
-    }
-    mgr_->parallelInvoke(fns);
-    // Balanced pairwise AND tree: independent conjunctions per level give
-    // the pool work, and intermediate results stay smaller than the linear
-    // left-fold's prefixes on wide vectors.
-    while (terms.size() > 1) {
-      std::vector<Bdd> folded((terms.size() + 1) / 2);
-      std::vector<std::function<void()>> ands;
-      ands.reserve(terms.size() / 2);
-      for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
-        ands.push_back(
-            [&terms, &folded, i] { folded[i / 2] = terms[i] & terms[i + 1]; });
-      }
-      if (terms.size() % 2 != 0) folded.back() = terms.back();
-      mgr_->parallelInvoke(ands);
-      terms = std::move(folded);
-    }
-    return terms.front();
-  }
   Bdd chi = mgr_->one();
   for (std::size_t i = 0; i < comps_.size(); ++i) {
     chi &= mgr_->xnorB(mgr_->var(vars_[i]), comps_[i]);

@@ -11,9 +11,6 @@
 //
 // The paper notes this costs a quadratic number of BDD operations in the
 // vector width — bench_setops measures exactly that.
-#include <functional>
-#include <tuple>
-
 #include "bfv/internal.hpp"
 
 namespace bfvr::bfv {
@@ -29,30 +26,11 @@ bool intersectCore(Manager& m, const std::vector<unsigned>& vars,
 
   // Selection conditions of every component of both operands.
   std::vector<Bdd> f1(n), f0(n), g1(n), g0(n);
-  if (m.threads() > 1) {
-    // Per-component conditions are independent: each task only writes its
-    // own slots, each pair fused into one cofactor2 walk.
-    std::vector<std::function<void()>> fns;
-    fns.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      fns.push_back([&, i] {
-        Bdd lo, hi;
-        std::tie(lo, hi) = m.cofactor2(f[i], vars[i]);
-        f1[i] = lo;
-        f0[i] = ~hi;
-        std::tie(lo, hi) = m.cofactor2(g[i], vars[i]);
-        g1[i] = lo;
-        g0[i] = ~hi;
-      });
-    }
-    m.parallelInvoke(fns);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      f1[i] = m.cofactor(f[i], vars[i], false);
-      f0[i] = ~m.cofactor(f[i], vars[i], true);
-      g1[i] = m.cofactor(g[i], vars[i], false);
-      g0[i] = ~m.cofactor(g[i], vars[i], true);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    f1[i] = m.cofactor(f[i], vars[i], false);
+    f0[i] = ~m.cofactor(f[i], vars[i], true);
+    g1[i] = m.cofactor(g[i], vars[i], false);
+    g0[i] = ~m.cofactor(g[i], vars[i], true);
   }
 
   // Backward sweep: e[i] = elimination condition after components 0..i-1

@@ -33,7 +33,6 @@
 // (cdec::reparameterizeCdec), which plugs in its constrain-based union.
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <tuple>
 
 #include "bfv/internal.hpp"
@@ -148,30 +147,12 @@ std::vector<Bdd> quantifyParams(Manager& m, std::vector<Bdd> cur,
     if (!touched) continue;  // nothing depends on v: exists is the identity
 
     std::vector<Bdd> lo(n), hi(n);
-    if (m.threads() > 1) {
-      // The per-component cofactors are independent: each task writes only
-      // its own lo[i]/hi[i] slots, so the pool may run them on any worker.
-      std::vector<std::function<void()>> fns;
-      fns.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (supports[i].test(v)) {
-          fns.push_back([&m, &cur, &lo, &hi, i, v] {
-            std::tie(lo[i], hi[i]) = m.cofactor2(cur[i], v);
-          });
-        } else {
-          lo[i] = cur[i];
-          hi[i] = cur[i];
-        }
-      }
-      m.parallelInvoke(fns);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (supports[i].test(v)) {
-          std::tie(lo[i], hi[i]) = m.cofactor2(cur[i], v);
-        } else {
-          lo[i] = cur[i];
-          hi[i] = cur[i];
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (supports[i].test(v)) {
+        std::tie(lo[i], hi[i]) = m.cofactor2(cur[i], v);
+      } else {
+        lo[i] = cur[i];
+        hi[i] = cur[i];
       }
     }
     std::vector<Bdd> next = slice_union(m, choice_vars, lo, hi);

@@ -270,29 +270,6 @@ JobResult executeAttempt(const JobSpec& spec, const CancelToken* cancel,
     owned = warm != nullptr ? warm->acquire(spec.mgr)
                             : std::make_unique<bdd::Manager>(0, spec.mgr);
     bdd::Manager& m = *owned;
-    // Parallel-kernel counters are cumulative per manager (and managers are
-    // reused warm), so publish per-attempt deltas on scope exit — whatever
-    // the attempt's outcome.
-    const bdd::Manager::ParCounters par_before = m.parCounters();
-    struct ParPublish {
-      bdd::Manager& m;
-      bdd::Manager::ParCounters before;
-      ~ParPublish() {
-        static obs::Counter& tasks =
-            obs::Registry::global().counter("bfvr_bdd_par_tasks_total");
-        static obs::Counter& steals =
-            obs::Registry::global().counter("bfvr_bdd_par_steals_total");
-        static obs::Counter& shard = obs::Registry::global().counter(
-            "bfvr_bdd_par_shard_contention_total");
-        static obs::Counter& races =
-            obs::Registry::global().counter("bfvr_bdd_par_cache_races_total");
-        const bdd::Manager::ParCounters now = m.parCounters();
-        tasks.inc(now.tasks_spawned - before.tasks_spawned);
-        steals.inc(now.tasks_stolen - before.tasks_stolen);
-        shard.inc(now.shard_contention - before.shard_contention);
-        races.inc(now.cache_races - before.cache_races);
-      }
-    } par_publish{m, par_before};
     if (!spec.faults.empty()) m.setFaultPlan(spec.faults);
     if (cancel != nullptr || spec.deadline_seconds > 0.0) {
       const double deadline = spec.deadline_seconds;

@@ -125,12 +125,6 @@ void applyKey(ManifestEntry& e, const std::string& key,
       j.mgr.pressure_ladder.enabled = parseBool(value);
     } else if (key == "cache-bits") {
       j.mgr.cache_bits = parseU32(value);
-    } else if (key == "threads") {
-      j.mgr.threads = parseU32(value);
-      if (j.mgr.threads == 0) {
-        throw std::invalid_argument("threads must be >= 1, got '" + value +
-                                    "'");
-      }
     } else if (key == "retries") {
       j.retry.max_attempts = parseU32(value);
     } else if (key == "backoff") {

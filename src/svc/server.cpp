@@ -57,9 +57,9 @@ Server::Server(const Options& opts)
     : opts_(opts),
       endpoint_(Endpoint::parse(opts.endpoint)),
       listener_(listenOn(endpoint_)),
-      pool_(opts.workers, opts.warm_managers),
       queue_(opts.tenants),
-      flight_(opts.flight_capacity) {
+      flight_(opts.flight_capacity),
+      pool_(opts.workers, opts.warm_managers) {
   for (const TenantConfig& t : opts.tenants) {
     obs::SvcTenantStats s;
     s.name = t.name;

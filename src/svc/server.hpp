@@ -215,7 +215,6 @@ class Server {
   Options opts_;
   Endpoint endpoint_;
   Fd listener_;
-  run::WorkerPool pool_;
   Timer uptime_;
 
   mutable std::mutex mu_;
@@ -262,6 +261,11 @@ class Server {
   std::thread accept_thread_;
   std::thread metrics_thread_;
   std::vector<std::thread> session_threads_;
+
+  // Declared last so it is destroyed first: its destructor joins the
+  // workers, and a worker leaving onJobDone still touches flight_ and cv_
+  // after dropping mu_ (waitStopped can return inside that window).
+  run::WorkerPool pool_;
 };
 
 }  // namespace bfvr::svc

@@ -6,9 +6,11 @@
 // fixpoints with the exact same state counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
+#include "bfv/bfv.hpp"
 #include "circuit/generators.hpp"
 #include "reach/engine.hpp"
 #include "sym/space.hpp"
@@ -331,6 +333,32 @@ TEST(FaultPlan, LadderAbsorbsAnInjectedAllocationFailure) {
   EXPECT_EQ(f.nodeCount(), 11U);
   EXPECT_EQ(m.faultsInjected(), 1U);
   EXPECT_GE(rec.count(ManagerEvent::Kind::kPressure), 1U);
+}
+
+// toChar's AND-of-XNORs fold under injected allocation failures: each one
+// unwinds a public operation, the ladder relieves and reruns it from its
+// handle-protected operands, and the characteristic function must still
+// count exactly the member set.
+TEST(PressureLadder, ToCharSurvivesLadderRerun) {
+  std::vector<unsigned> vars(16);
+  for (unsigned i = 0; i < 16; ++i) vars[i] = i;
+  std::vector<std::uint64_t> members;
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    members.push_back((k * 2654435761ULL) & 0xFFFFU);  // odd stride: distinct
+  }
+  Manager::Config cfg;
+  cfg.pressure_ladder.enabled = true;  // three rungs: one per injected fault
+  Manager m(16, cfg);
+  const bfv::Bfv s = bfv::Bfv::fromMembers(m, vars, members);
+  FaultPlan plan;
+  plan.alloc_failures = {10, 60, 150};
+  m.setFaultPlan(plan);
+  const Bdd chi = s.toChar();
+  // At least one fault must have fired inside toChar, or this test proved
+  // nothing (read before disarming: setFaultPlan resets the counter).
+  EXPECT_GE(m.faultsInjected(), 1U);
+  m.setFaultPlan({});
+  EXPECT_DOUBLE_EQ(m.satCount(chi, 16), 40.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,38 +2,22 @@
 """CI perf trajectory gate: guard recursive_steps and peak_live_nodes
 against committed baselines, across every bench surface in one run.
 
-Usage (trajectory gate):
+Usage:
     perf_smoke.py <current.json> <baseline.json> [<current2> <baseline2> ...]
                   [--tolerance 0.10]
 
-Usage (parallel speedup gate):
-    perf_smoke.py --speedup BENCH_parallel.json [--min-speedup 2.5]
-                  [--min-cpus 4]
-
 Each (current, baseline) pair is a BENCH_*.json-shaped array of run objects
-(bench_quantsched, bench_table2 and bench_parallel emit the same row
-schema). Rows are matched on (circuit, order, engine, schedule, threads)
-and compared on `recursive_steps` — the deterministic work metric, immune
-to CI-runner noise (wall time on shared runners swings far more than 10%)
-— and on `peak_live_nodes`, the memory-pressure metric the governor PR
-exists to protect. The check fails if any matched row regresses by more
-than the tolerance on either metric, or if a baseline row disappears; new
-rows are reported but allowed, so adding circuits to a bench does not
-require a lockstep baseline update. A per-row delta table is printed for
-every pair, pass or fail, so the perf trajectory is visible in every CI
-log, not only on regression.
-
-Rows with threads > 1 are never gated on step counts: the parallel kernel
-is deterministic in its *results*, not in its op schedule (fork placement
-and cache-population order vary run to run). They are listed informationally
-and gated separately by --speedup.
-
-The --speedup mode reads bench_parallel rows and requires each circuit's
-highest-thread-count "done" row to reach --min-speedup over its threads=1
-twin — but only when the row's recorded host_cpus is at least --min-cpus.
-Rows recorded on smaller hosts (e.g. a 1-CPU dev container, where any
-speedup is physically impossible) are reported and skipped, which is what
-keeps committed baselines honest without making them machine-dependent.
+(bench_quantsched, bench_table2 and bench_lz emit the same row schema).
+Rows are matched on (circuit, order, engine, schedule) and compared on
+`recursive_steps` — the deterministic work metric, immune to CI-runner
+noise (wall time on shared runners swings far more than 10%) — and on
+`peak_live_nodes`, the memory-pressure metric the governor PR exists to
+protect. The check fails if any matched row regresses by more than the
+tolerance on either metric, or if a baseline row disappears; new rows are
+reported but allowed, so adding circuits to a bench does not require a
+lockstep baseline update. A per-row delta table is printed for every pair,
+pass or fail, so the perf trajectory is visible in every CI log, not only
+on regression.
 
 Rows whose status is not "done" (timeouts, memouts) are skipped on both
 sides: a run cut off by a wall-clock deadline stops at a machine-dependent
@@ -45,8 +29,6 @@ Update a baseline (after a deliberate algorithmic change) with:
     ./build/bench/bench_table2 --quick --trace \
         --json=baselines/BENCH_table2.json
     ./build/bench/bench_lz --json=baselines/BENCH_lz.json
-    ./build/bench/bench_parallel --quick \
-        --json=baselines/BENCH_parallel.json
 (--trace matters where shown: the tracer's per-iteration snapshots perform
 a little BDD work, so step counts in trace mode differ slightly from plain
 runs, and CI runs with both flags.)
@@ -63,7 +45,6 @@ def key(row):
         row.get("order"),
         row.get("engine"),
         row.get("schedule"),
-        row.get("threads", 1),
     )
 
 
@@ -75,22 +56,15 @@ def load(path):
         rows = json.load(f)
     out = {}
     skipped = 0
-    parallel = 0
     for row in rows:
         if row.get("status", "done") != "done":
             skipped += 1
-            continue
-        if row.get("threads", 1) > 1:
-            parallel += 1
             continue
         metrics = {m: row[m] for m in METRICS if m in row}
         if metrics:
             out[key(row)] = metrics
     if skipped:
         print(f"note: {path}: skipped {skipped} non-done row(s)")
-    if parallel:
-        print(f"note: {path}: {parallel} threads>1 row(s) not step-gated "
-              "(parallel schedules are nondeterministic; see --speedup)")
     return out
 
 
@@ -131,76 +105,15 @@ def compare(cur_path, base_path, tolerance):
     return failed
 
 
-def check_speedup(path, min_speedup, min_cpus):
-    """Gate the bench_parallel thread-scaling rows; returns True on failure."""
-    with open(path) as f:
-        rows = json.load(f)
-    # Highest-thread-count done row per (circuit, engine).
-    best = {}
-    for row in rows:
-        if row.get("status") != "done":
-            continue
-        t = row.get("threads", 1)
-        if t <= 1:
-            continue
-        k = (row.get("circuit"), row.get("engine"))
-        if k not in best or t > best[k].get("threads", 1):
-            best[k] = row
-
-    print(f"--- speedup gate on {path} "
-          f"(min {min_speedup:.2f}x at >= {min_cpus} cpus)")
-    if not best:
-        print("FAIL: no threads>1 done rows found")
-        return True
-    gated = 0
-    reached = 0
-    for (circuit, engine), row in sorted(best.items()):
-        t = row.get("threads", 1)
-        cpus = row.get("host_cpus", 1)
-        sp = row.get("speedup", 0.0)
-        label = f"{circuit}/{engine} threads={t}"
-        if cpus < min_cpus:
-            print(f"skip {label}: recorded on {cpus}-cpu host "
-                  f"(speedup {sp:.2f}x, gate needs >= {min_cpus} cpus)")
-            continue
-        gated += 1
-        if sp >= min_speedup:
-            reached += 1
-        print(f"{'ok' if sp >= min_speedup else 'low':4s} "
-              f"{label}: {sp:.2f}x on {cpus} cpus")
-    if gated == 0:
-        print("note: every row was recorded below the cpu floor; "
-              "gate did not bind")
-        return False
-    # The contract is "the kernel can scale": at least one gated row must
-    # reach the floor. Per-row "low" lines keep the others visible without
-    # making the gate hostage to the smallest circuit in the sweep.
-    if reached == 0:
-        print(f"FAIL: no gated row reached {min_speedup:.2f}x")
-        return True
-    return False
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("pairs", nargs="*",
+    ap.add_argument("pairs", nargs="+",
                     metavar="current.json baseline.json",
                     help="one or more (current, baseline) file pairs")
     ap.add_argument("--tolerance", type=float, default=0.10)
-    ap.add_argument("--speedup", metavar="BENCH_parallel.json",
-                    help="gate thread-scaling speedup instead of step counts")
-    ap.add_argument("--min-speedup", type=float, default=2.5)
-    ap.add_argument("--min-cpus", type=int, default=4)
     args = ap.parse_args()
 
-    if args.speedup:
-        if args.pairs:
-            print("error: --speedup takes no (current, baseline) pairs")
-            return 2
-        return 1 if check_speedup(args.speedup, args.min_speedup,
-                                  args.min_cpus) else 0
-
-    if not args.pairs or len(args.pairs) % 2 != 0:
+    if len(args.pairs) % 2 != 0:
         print("error: expected (current, baseline) file pairs")
         return 2
 
