@@ -1,4 +1,4 @@
-// Common interface of the three reachability engines:
+// Common interface of the four reachability engines:
 //
 //  * TrReach  — characteristic-function flow with (partitioned) transition
 //               relations and IWLS95-style early quantification: the VIS
@@ -6,13 +6,16 @@
 //  * CbmReach — the Coudert/Berthet/Madre flow of Fig. 1: symbolic
 //               simulation for images, but every set operation on the
 //               characteristic function, paying the BFV<->chi conversions.
+//  * Hybrid   — "to split or to conjoin": chi sets, each image by the
+//               relation or by range splitting, whichever looks smaller.
 //  * BfvReach — the paper's flow of Fig. 2: symbolic simulation,
 //               re-parameterization and set union directly on Boolean
 //               functional vectors (or their conjunctive decomposition).
 //
-// All engines run under a time/node budget and report the paper's metrics:
-// wall-clock seconds and peak live BDD nodes, plus iteration counts and the
-// size of the final reached set in both representations.
+// All engines run one fixpoint loop (internal.hpp) under a time/node
+// budget and report the paper's metrics: wall-clock seconds and peak live
+// BDD nodes, plus iteration counts and the reached set's size in both
+// representations.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +30,10 @@
 #include "sym/space.hpp"
 #include "sym/transition.hpp"
 #include "util/stats.hpp"
+
+namespace bfvr::io {
+struct Checkpoint;
+}  // namespace bfvr::io
 
 namespace bfvr::reach {
 
@@ -49,19 +56,6 @@ struct ReorderPolicy {
   /// group, so any reordering — stepwise or automatic — keeps the banks
   /// interleaved and the u -> v renaming order-preserving.
   bool group_state_pairs = true;
-};
-
-/// Mid-run state decoded from a checkpoint file (io::load, resumeReach).
-/// Engines read it as "the loop already completed `iteration` frontier
-/// steps with this reached set and this frontier" and continue from there.
-/// Exactly one representation is populated, matching the engine that wrote
-/// the checkpoint.
-struct ResumePoint {
-  unsigned iteration = 0;
-  Bdd reached_chi;  ///< TR/CBM/hybrid engines
-  Bdd from_chi;
-  std::optional<Bfv> reached_bfv, from_bfv;        ///< kBfv backend
-  std::optional<cdec::Cdec> reached_cdec, from_cdec;  ///< kCdec backend
 };
 
 struct ReachOptions {
@@ -98,9 +92,12 @@ struct ReachOptions {
   /// frontier iteration. 0 or an empty path = never.
   unsigned checkpoint_every = 0;
   std::string checkpoint_path;
-  /// Continue from a decoded checkpoint instead of the initial state. Set
-  /// by resumeReach(); not owned, must outlive the run.
-  const ResumePoint* resume = nullptr;
+  /// Continue from a decoded checkpoint (io::load / io::decode) instead of
+  /// the initial state: the loop starts after the checkpoint's `iteration`
+  /// completed iterations, from its reached set and frontier. The engine
+  /// throws io::Error, before any work, when another engine wrote it or its
+  /// roots do not fit the state space. Not owned; must outlive the run.
+  const io::Checkpoint* resume = nullptr;
 };
 
 struct ReachResult {
@@ -129,9 +126,10 @@ struct ReachResult {
   /// `iterations` still counts it.
   std::optional<obs::RunTrace> trace;
 
-  /// Reached set, when the run completed (one of the two, per engine).
+  /// Reached set in both representations: every engine sets both when it
+  /// completes (kDone).
   std::optional<Bfv> reached_bfv;
-  Bdd reached_chi;  // null unless computed
+  Bdd reached_chi;
 };
 
 /// Characteristic-function engine (VIS-like baseline).
@@ -151,14 +149,15 @@ ReachResult reachBfv(sym::StateSpace& s, const ReachOptions& opts = {});
 ReachResult reachHybrid(sym::StateSpace& s, const ReachOptions& opts = {});
 
 /// Restart a checkpointed run: load `checkpoint_path` into the state
-/// space's manager (restoring the recorded variable order), rebuild the
-/// reached set and frontier, and continue the fixpoint with the engine that
-/// wrote the file. The state space must be built over the same circuit and
-/// initial order as the original run (same variable count; the checkpoint
-/// carries the order itself). The continued run's states/iterations/status
-/// are bit-identical to the uninterrupted run's: the reached-set sequence
-/// depends only on the (reached, frontier) pair the file captures exactly.
-/// Throws io::Error on a missing/corrupt/mismatched file.
+/// space's manager (restoring the recorded variable order) and continue the
+/// fixpoint with the engine the file's tag names, seeded with its reached
+/// set and frontier. The state space must be built over the same circuit
+/// and initial order as the original run (same variable count; the
+/// checkpoint carries the order itself). The continued run's states/
+/// iterations/status are bit-identical to the uninterrupted run's: the
+/// reached-set sequence depends only on the (reached, frontier) pair the
+/// file captures exactly. Throws io::Error on a missing/corrupt/mismatched
+/// file.
 ReachResult resumeReach(sym::StateSpace& s, const std::string& checkpoint_path,
                         const ReachOptions& opts = {});
 

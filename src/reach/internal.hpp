@@ -1,14 +1,17 @@
-// Shared engine plumbing: budget enforcement, peak-live-node sampling and
-// the per-iteration trace recorder behind ReachOptions::trace.
+// Shared engine plumbing: budget enforcement, peak-live-node sampling, the
+// per-iteration trace recorder behind ReachOptions::trace, and the one
+// fixpoint loop every engine runs over its set representation.
 #pragma once
 
 #include <algorithm>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "io/checkpoint.hpp"
 #include "obs/obs.hpp"
 #include "reach/engine.hpp"
+#include "sym/simulate.hpp"
 
 namespace bfvr::reach::internal {
 
@@ -149,7 +152,7 @@ inline void applyReorderPolicy(sym::StateSpace& s, const ReachOptions& opts) {
   }
 }
 
-/// Per-iteration reorder hook (called from the engines' safe point, next to
+/// Per-iteration reorder hook (called from the loop's safe point, next to
 /// maybeGc()).
 inline void maybeStepReorder(Manager& m, const ReachOptions& opts,
                              unsigned iteration) {
@@ -162,16 +165,6 @@ inline void maybeStepReorder(Manager& m, const ReachOptions& opts,
 inline bool checkpointDue(const ReachOptions& opts, unsigned iteration) {
   return opts.checkpoint_every != 0 && !opts.checkpoint_path.empty() &&
          iteration % opts.checkpoint_every == 0;
-}
-
-/// Stamp the manager's current variable order onto the checkpoint and write
-/// it. Engines call this from the post-iteration safe point — after
-/// maybeStepReorder()/maybeGc() — so the recorded order is the one the next
-/// iteration would run with.
-inline void writeCheckpoint(Manager& m, const ReachOptions& opts,
-                            io::Checkpoint c) {
-  c.level2var = m.currentOrder();
-  io::save(opts.checkpoint_path, c);
 }
 
 /// Runs `body` (the iteration loop) and folds budget violations into the
@@ -209,5 +202,138 @@ ReachResult runGuarded(Manager& m, const ReachOptions& opts, Body&& body) {
   tracer.finish(r);
   return r;
 }
+
+/// The one fixpoint loop behind every engine. Figs. 1 and 2 are the same
+/// iteration over two set algebras: simulate from a frontier, union into
+/// the reached set, stop when the union stops growing. The loop owns what
+/// does not depend on the representation (iteration count, tracing, the
+/// selection heuristic, step reorder, GC, checkpoint cadence, the iteration
+/// cap); `Ops` supplies the rest:
+///
+///   Set                          the state-set type
+///   Ops(s, opts, guard)          setup, after applyReorderPolicy()
+///   Ops::decode(s, checkpoint)   {reached, from} to resume from; io::Error
+///                                if another engine wrote the checkpoint or
+///                                it does not fit `s`
+///   initial()                    the initial-state set
+///   states(set)                  a set's state count, for the trace
+///   image(from, guard, tracer)   one image step; the value it returns owns
+///                                every intermediate and `.img` is the image
+///   unite(reached, img)          the union
+///   newStates(img, reached, out) the set the selection heuristic weighs:
+///                                `img` itself, or a new set stored in `out`
+///   size(set)                    a set's BDD size
+///   kSampleUnion                 whether the peak is sampled after the union
+///   encode(reached, from)        the checkpoint's tag, kind and roots
+///   finish(reached, r)           the result's set fields, after the loop
+///
+/// Handle lifetimes and peak samples are part of every engine's measured
+/// behaviour: the live set at each guard.sample() is the paper's Peak(K),
+/// and the live set at maybeGc() decides what the collector frees, hence
+/// the node layout and every later cache hit and counter. The loop pins
+/// both. The image step's value, which owns all of the step's
+/// intermediates, and the new-state set's storage are locals of the loop
+/// body, so they live to the end of the iteration, across maybeGc(). The
+/// peak is sampled at fixed points only: after setup (by ops whose setup
+/// builds BDDs), inside the image step, after the union when
+/// Ops::kSampleUnion, and after maybeGc(). The loop also copies no set it
+/// does not need: even a short-lived vector moves the heap layout, and
+/// with it the process's peak RSS.
+template <typename Ops>
+ReachResult fixpoint(sym::StateSpace& s, const ReachOptions& opts) {
+  using Set = typename Ops::Set;
+  // Validate the resume point before any work: a checkpoint this engine
+  // cannot continue costs its caller nothing beyond the decode.
+  std::optional<std::pair<Set, Set>> seed;
+  if (opts.resume != nullptr) seed = Ops::decode(s, *opts.resume);
+  Manager& m = s.manager();
+  return runGuarded(m, opts, [&](ReachResult& r, RunGuard& guard,
+                                 Tracer& tracer) {
+    applyReorderPolicy(s, opts);
+    const Ops ops(s, opts, guard);
+    Set reached, from;
+    if (seed) {
+      r.iterations = opts.resume->iteration;
+      std::tie(reached, from) = std::move(*seed);
+    } else {
+      reached = ops.initial();
+      from = reached;
+    }
+    for (;;) {
+      ++r.iterations;
+      tracer.beginIteration(r.iterations, [&] {
+        return std::pair{ops.states(from), ops.size(from)};
+      });
+      const auto step = ops.image(from, guard, tracer);
+      const Set next = tracer.timed(
+          obs::Phase::kUnion, [&] { return ops.unite(reached, step.img); });
+      if constexpr (Ops::kSampleUnion) guard.sample();
+      const bool converged = next == reached;
+      Set fresh;
+      if (!converged) {
+        const auto check = tracer.phase(obs::Phase::kCheck);
+        const Set& news = ops.newStates(step.img, reached, fresh);
+        reached = next;
+        // Selection heuristic (the Fig. 1/2 box): simulate from the smaller
+        // of the new states and the reached set.
+        from = opts.use_frontier && ops.size(news) < ops.size(reached)
+                   ? news
+                   : reached;
+      }
+      tracer.endIteration();
+      if (converged) break;
+      maybeStepReorder(m, opts, r.iterations);
+      m.maybeGc();
+      guard.sample();
+      if (checkpointDue(opts, r.iterations)) {
+        io::Checkpoint c = ops.encode(reached, from);
+        c.iteration = r.iterations;
+        // Recorded after step reorder and GC: the order the next iteration
+        // runs with.
+        c.level2var = m.currentOrder();
+        io::save(opts.checkpoint_path, c);
+      }
+      if (opts.max_iterations != 0 && r.iterations >= opts.max_iterations) {
+        break;
+      }
+    }
+    ops.finish(reached, r);
+  });
+}
+
+/// The Fig. 2 flow's representation: canonical Boolean functional vectors
+/// (bfv_reach.cpp). checkInvariant() runs the same image step.
+class BfvOps {
+ public:
+  using Set = Bfv;
+  static constexpr bool kSampleUnion = true;
+  /// The simulated vector, its re-parameterization over the u bank, and
+  /// the image renamed to the v bank.
+  struct Step {
+    sym::SimResult sim;
+    Bfv img_u, img;
+  };
+
+  BfvOps(sym::StateSpace& s, const ReachOptions& opts, RunGuard& guard);
+  static std::pair<Bfv, Bfv> decode(sym::StateSpace& s,
+                                    const io::Checkpoint& c);
+  Bfv initial() const;
+  static double states(const Bfv& f) { return f.countStates(); }
+  Step image(const Bfv& from, RunGuard& guard, Tracer& tracer) const;
+  static Bfv unite(const Bfv& a, const Bfv& b) { return setUnion(a, b); }
+  /// BFVs have no set difference (§2 has no negation), so the whole image
+  /// plays the frontier role.
+  static const Bfv& newStates(const Bfv& img, const Bfv& /*reached*/, Bfv&) {
+    return img;
+  }
+  static std::size_t size(const Bfv& f) { return f.sharedSize(); }
+  io::Checkpoint encode(const Bfv& reached, const Bfv& from) const;
+  void finish(const Bfv& reached, ReachResult& r) const;
+
+ private:
+  sym::StateSpace& s_;
+  bfv::ReparamOptions reparam_;
+  std::vector<unsigned> params_;  ///< simulation parameters: v bank + inputs
+};
 
 }  // namespace bfvr::reach::internal

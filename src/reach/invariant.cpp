@@ -51,10 +51,11 @@ InvariantResult checkInvariant(sym::StateSpace& s, const Bdd& bad,
   Manager& m = s.manager();
   InvariantResult out;
   internal::RunGuard guard(m, opts.budget);
+  const ReachOptions untraced;  // InvariantResult carries no trace
+  internal::Tracer tracer(m, untraced, guard);
   try {
     const Bfv bad_set = bfv::fromChar(m, bad, s.currentVars());
-    std::vector<unsigned> params = s.currentVars();
-    params.insert(params.end(), s.inputVars().begin(), s.inputVars().end());
+    const internal::BfvOps ops(s, opts, guard);
 
     // Onion rings: rings[i] = set reached within i steps (monotone), kept
     // for counterexample reconstruction.
@@ -69,18 +70,11 @@ InvariantResult checkInvariant(sym::StateSpace& s, const Bdd& bad,
 
     while (!found) {
       ++out.iterations;
-      const sym::SimResult sim = sym::simulate(s, reached.comps());
-      guard.sample();
-      const Bfv img_u = bfv::reparameterize(m, sim.next_state, s.paramVars(),
-                                            params, opts.reparam);
-      std::vector<Bdd> renamed(img_u.comps().size());
-      for (std::size_t i = 0; i < renamed.size(); ++i) {
-        renamed[i] = m.permute(img_u.comps()[i], s.permParamToCurrent());
-      }
-      const Bfv img = Bfv::fromComponents(m, s.currentVars(),
-                                          std::move(renamed),
-                                          /*trusted=*/true);
-      guard.sample();
+      // The Fig. 2 engine's image step. It samples the peak after
+      // simulation and after re-parameterization; the post-union sample
+      // below covers the rest of the iteration.
+      const internal::BfvOps::Step step = ops.image(reached, guard, tracer);
+      const Bfv& img = step.img;
       const Bfv next = setUnion(reached, img);
       if (!bad_set.isEmpty()) {
         violating = setIntersect(img, bad_set);

@@ -1,12 +1,12 @@
 // resumeReach: restart a checkpointed fixpoint. Loads the file into the
 // state space's manager (io::load also restores the recorded variable
-// order), rebuilds the engine's loop state (reached set + frontier +
-// iteration count) and re-enters the engine that wrote the checkpoint via
-// ReachOptions::resume. Correctness of the bit-identical claim: the
-// reached-set sequence reached_{k+1} = reached_k U Img(from_k) depends only
-// on the (reached, from) pair — which the checkpoint captures exactly — so
-// the continued run walks the same sets, fixpoint test and iteration count
-// as the uninterrupted one.
+// order) and runs the engine the file's tag names, with the checkpoint as
+// the loop's seed (ReachOptions::resume); that engine validates and decodes
+// its own roots. Correctness of the bit-identical claim: the reached-set
+// sequence reached_{k+1} = reached_k U Img(from_k) depends only on the
+// (reached, from) pair — which the checkpoint captures exactly — so the
+// continued run walks the same sets, fixpoint test and iteration count as
+// the uninterrupted one.
 #include "io/checkpoint.hpp"
 #include "reach/engine.hpp"
 
@@ -15,58 +15,16 @@ namespace bfvr::reach {
 namespace {
 
 ReachResult resumeFrom(sym::StateSpace& s, const io::Checkpoint& c,
-                       const ReachOptions& opts) {
-  Manager& m = s.manager();
-  ResumePoint rp;
-  rp.iteration = c.iteration;
-  ReachOptions o = opts;
-  o.resume = &rp;
-
-  switch (c.kind) {
-    case io::RootKind::kChi: {
-      if (c.reached.size() != 1 || c.frontier.size() != 1) {
-        throw io::Error("checkpoint: expected one root per set");
-      }
-      rp.reached_chi = c.reached[0];
-      rp.from_chi = c.frontier[0];
-      if (c.engine == "tr") return reachTr(s, o);
-      if (c.engine == "cbm") return reachCbm(s, o);
-      if (c.engine == "hybrid") return reachHybrid(s, o);
-      throw io::Error("checkpoint: unknown chi engine '" + c.engine + "'");
-    }
-    case io::RootKind::kBfv: {
-      if (c.engine != "bfv") {
-        throw io::Error("checkpoint: unknown bfv engine '" + c.engine + "'");
-      }
-      rp.reached_bfv =
-          c.reached_empty
-              ? Bfv::emptySet(m, c.choice_vars)
-              : Bfv::fromComponents(m, c.choice_vars, c.reached,
-                                    /*trusted=*/true);
-      rp.from_bfv = c.frontier_empty
-                        ? Bfv::emptySet(m, c.choice_vars)
-                        : Bfv::fromComponents(m, c.choice_vars, c.frontier,
-                                              /*trusted=*/true);
-      o.backend = SetBackend::kBfv;
-      return reachBfv(s, o);
-    }
-    case io::RootKind::kCdec: {
-      if (c.engine != "cdec") {
-        throw io::Error("checkpoint: unknown cdec engine '" + c.engine + "'");
-      }
-      rp.reached_cdec =
-          c.reached_empty
-              ? cdec::Cdec::emptySet(m, c.choice_vars)
-              : cdec::Cdec::fromConstraints(m, c.choice_vars, c.reached);
-      rp.from_cdec =
-          c.frontier_empty
-              ? cdec::Cdec::emptySet(m, c.choice_vars)
-              : cdec::Cdec::fromConstraints(m, c.choice_vars, c.frontier);
-      o.backend = SetBackend::kCdec;
-      return reachBfv(s, o);
-    }
+                       ReachOptions opts) {
+  opts.resume = &c;
+  if (c.engine == "tr") return reachTr(s, opts);
+  if (c.engine == "cbm") return reachCbm(s, opts);
+  if (c.engine == "hybrid") return reachHybrid(s, opts);
+  if (c.engine == "bfv" || c.engine == "cdec") {
+    opts.backend = c.engine == "bfv" ? SetBackend::kBfv : SetBackend::kCdec;
+    return reachBfv(s, opts);
   }
-  throw io::Error("checkpoint: unknown root kind");
+  throw io::Error("checkpoint: unknown engine '" + c.engine + "'");
 }
 
 }  // namespace

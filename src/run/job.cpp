@@ -286,27 +286,27 @@ JobResult executeAttempt(const JobSpec& spec, const CancelToken* cancel,
     // released to the warm cache below.
     {
       sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
-      if (spec.resume_image != nullptr && !spec.resume_image->empty()) {
-        // Migration resume: the image was captured when this job was
-        // evicted from another worker.
+      // Resume seeds the job's own engine (with its own options) from the
+      // migration image, captured when this job was evicted from another
+      // worker, or else from its checkpoint file. No checkpoint, or none
+      // this engine can continue (io::Error), means a fresh run.
+      const bool has_image =
+          spec.resume_image != nullptr && !spec.resume_image->empty();
+      if (has_image || (try_resume && !opts.checkpoint_path.empty())) {
         try {
-          out.reach = reach::resumeReach(
-              s, std::span<const std::uint8_t>(*spec.resume_image), opts);
+          const io::Checkpoint c =
+              has_image ? io::decode(spec.resume_image->data(),
+                                     spec.resume_image->size(), m)
+                        : io::load(opts.checkpoint_path, m);
+          reach::ReachOptions seeded = opts;
+          seeded.resume = &c;
+          out.reach = dispatchEngine(spec.engine, s, seeded);
           rec.resumed = true;
         } catch (const io::Error&) {
-          out.reach = dispatchEngine(spec.engine, s, opts);
+          // Unusable checkpoint: the fresh run below.
         }
-      } else if (try_resume && !opts.checkpoint_path.empty()) {
-        try {
-          out.reach = reach::resumeReach(s, opts.checkpoint_path, opts);
-          rec.resumed = true;
-        } catch (const io::Error&) {
-          // No (or no usable) checkpoint yet: fall back to a fresh run.
-          out.reach = dispatchEngine(spec.engine, s, opts);
-        }
-      } else {
-        out.reach = dispatchEngine(spec.engine, s, opts);
       }
+      if (!rec.resumed) out.reach = dispatchEngine(spec.engine, s, opts);
     }
     out.status = out.reach.status;
     out.message = out.reach.message;

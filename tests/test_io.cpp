@@ -425,5 +425,35 @@ TEST(Resume, MissingCheckpointThrowsIoError) {
                Error);
 }
 
+TEST(Resume, InconsistentVectorCheckpointThrowsIoError) {
+  // CRC-valid checkpoints whose contents do not fit the state space: a root
+  // count that is not the choice-variable count, and choice variables that
+  // are not the current-state bank. Both Fig. 2 backends reject them with
+  // io::Error, never another exception from deeper in the run.
+  const circuit::Netlist n = circuit::makeCounter(4, 10);
+  for (const RootKind kind : {RootKind::kBfv, RootKind::kCdec}) {
+    const char* engine = kind == RootKind::kBfv ? "bfv" : "cdec";
+    Manager m(0);
+    sym::StateSpace s(m, n,
+                      circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
+    const bfv::Bfv init = bfv::Bfv::point(m, s.currentVars(), s.initialBits());
+    const std::vector<Bdd> roots =
+        kind == RootKind::kBfv ? init.comps()
+                               : cdec::Cdec::fromBfv(init).constraints();
+    Checkpoint c;
+    c.engine = engine;
+    c.kind = kind;
+    c.level2var = m.currentOrder();
+    c.choice_vars = s.currentVars();
+    c.reached = c.frontier = std::vector<Bdd>(roots.begin(), roots.end() - 1);
+    EXPECT_THROW(reach::resumeReach(s, encode(c), {}), Error)
+        << engine << ": root count";
+    c.choice_vars = s.paramVars();
+    c.reached = c.frontier = roots;
+    EXPECT_THROW(reach::resumeReach(s, encode(c), {}), Error)
+        << engine << ": choice variables";
+  }
+}
+
 }  // namespace
 }  // namespace bfvr::io

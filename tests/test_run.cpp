@@ -15,10 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include "bfv/bfv.hpp"
+#include "io/checkpoint.hpp"
 #include "run/manifest.hpp"
 #include "run/run.hpp"
 #include "support/brute.hpp"
 #include "support/process_dir.hpp"
+#include "sym/simulate.hpp"
 #include "sym/space.hpp"
 
 namespace bfvr::run {
@@ -637,17 +640,84 @@ TEST(RunResume, InMemoryImageContinuesBitIdentically) {
   EXPECT_TRUE(r.attempts.front().resumed);
 }
 
+/// An iteration-0 "tr" checkpoint of `s`: reached = frontier = the initial
+/// state in chi form, exactly where a fresh TR run starts.
+io::Checkpoint initialChiCheckpoint(const sym::StateSpace& s) {
+  io::Checkpoint c;
+  c.engine = "tr";
+  c.level2var = s.manager().currentOrder();
+  c.reached = c.frontier = {sym::initialChar(s)};
+  return c;
+}
+
 TEST(RunResume, CorruptImageFallsBackToAFreshRun) {
-  JobSpec spec;
+  JobSpec spec;  // a bfv job
   spec.circuit = "gen:counter:5:20";
-  auto junk = std::make_shared<std::vector<std::uint8_t>>(64, 0x5A);
-  spec.resume_image = junk;
-  const JobResult r = executeJob(spec);
-  // The fixpoint is the same either way; only the recomputation differs.
-  EXPECT_EQ(r.status, RunStatus::kDone);
-  EXPECT_EQ(r.reach.states, 20.0);
-  ASSERT_FALSE(r.attempts.empty());
-  EXPECT_FALSE(r.attempts.front().resumed);
+  // Junk bytes, then images that pass the CRC but that no bfv job can
+  // continue: another engine's checkpoint, a root count that is not the
+  // choice-variable count, and choice variables that are not the
+  // current-state bank.
+  std::vector<std::vector<std::uint8_t>> images{
+      std::vector<std::uint8_t>(64, 0x5A)};
+  {
+    Manager m(0);
+    const circuit::Netlist n = resolveCircuit(spec.circuit);
+    sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
+    io::Checkpoint c = initialChiCheckpoint(s);
+    images.push_back(io::encode(c));
+    const std::vector<Bdd> init =
+        bfv::Bfv::point(m, s.currentVars(), s.initialBits()).comps();
+    c.engine = "bfv";
+    c.kind = io::RootKind::kBfv;
+    c.choice_vars = s.currentVars();
+    c.reached = c.frontier = std::vector<Bdd>(init.begin(), init.end() - 1);
+    images.push_back(io::encode(c));
+    c.choice_vars = s.paramVars();
+    c.reached = c.frontier = init;
+    images.push_back(io::encode(c));
+  }
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    spec.resume_image =
+        std::make_shared<std::vector<std::uint8_t>>(std::move(images[i]));
+    const JobResult r = executeJob(spec);
+    // The fixpoint is the same either way; only the recomputation differs.
+    EXPECT_EQ(r.status, RunStatus::kDone) << "image " << i << ": " << r.message;
+    EXPECT_EQ(r.reach.states, 20.0) << "image " << i;
+    ASSERT_FALSE(r.attempts.empty());
+    EXPECT_FALSE(r.attempts.front().resumed) << "image " << i;
+  }
+}
+
+TEST(RunResume, ImageSeedsTheJobsOwnEngine) {
+  // tr and tr-mono both write "tr" checkpoints. A tr-mono job resumed from
+  // one keeps its own options (a monolithic relation, several times the
+  // clustered one's peak), so from an iteration-0 image it walks the same
+  // sets as a fresh tr-mono run.
+  JobSpec mono;
+  mono.circuit = "gen:arbiter:12";
+  mono.engine = EngineKind::kTrMono;
+  const JobResult fresh = executeJob(mono);
+  ASSERT_EQ(fresh.status, RunStatus::kDone);
+  std::size_t cube_nodes = 0;
+  {
+    Manager m(0);
+    const circuit::Netlist n = resolveCircuit(mono.circuit);
+    sym::StateSpace s(m, n, circuit::makeOrder(n, mono.order));
+    cube_nodes = s.numLatches() + 1;
+    mono.resume_image = std::make_shared<std::vector<std::uint8_t>>(
+        io::encode(initialChiCheckpoint(s)));
+  }
+  const JobResult resumed = executeJob(mono);
+  EXPECT_EQ(resumed.status, RunStatus::kDone);
+  ASSERT_FALSE(resumed.attempts.empty());
+  EXPECT_TRUE(resumed.attempts.front().resumed);
+  EXPECT_EQ(resumed.reach.states, fresh.reach.states);
+  EXPECT_EQ(resumed.reach.iterations, fresh.reach.iterations);
+  // Live sets are canonical, so the peaks differ only by the checkpoint's
+  // own roots (the initial-state cube), which stay alive through the run.
+  EXPECT_GE(resumed.reach.peak_live_nodes, fresh.reach.peak_live_nodes);
+  EXPECT_LE(resumed.reach.peak_live_nodes,
+            fresh.reach.peak_live_nodes + cube_nodes);
 }
 
 TEST(RunPool, AvoidWorkerSteersPlacement) {
