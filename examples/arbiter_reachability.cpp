@@ -21,35 +21,43 @@ int main(int argc, char** argv) {
 
   const auto order = circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0});
 
+  // Each engine returns its reached set in its own representation; the
+  // sizes of both are taken while the run's manager is alive.
   struct Row {
     const char* name;
     reach::ReachResult r;
+    reach::ReachedSizes sizes;
+  };
+  auto withSizes = [](const char* name, const sym::StateSpace& s,
+                      reach::ReachResult r) {
+    const reach::ReachedSizes sizes = reach::reachedSizes(s, r);
+    return Row{name, std::move(r), sizes};
   };
   std::vector<Row> rows;
   {
     bdd::Manager m(0);
     sym::StateSpace s(m, n, order);
-    rows.push_back({"TR-IWLS95 (chi)", reach::reachTr(s, {})});
+    rows.push_back(withSizes("TR-IWLS95 (chi)", s, reach::reachTr(s, {})));
   }
   {
     bdd::Manager m(0);
     sym::StateSpace s(m, n, order);
-    rows.push_back({"CBM (Fig. 1)", reach::reachCbm(s, {})});
+    rows.push_back(withSizes("CBM (Fig. 1)", s, reach::reachCbm(s, {})));
   }
 
   // Keep the BFV run's manager alive: we reuse its reached set below.
   bdd::Manager m(0);
   sym::StateSpace s(m, n, order);
-  const reach::ReachResult bfv_run = reach::reachBfv(s, {});
-  rows.push_back({"BFV (Fig. 2)", bfv_run});
+  rows.push_back(withSizes("BFV (Fig. 2)", s, reach::reachBfv(s, {})));
+  const bfv::Bfv& reached = *rows.back().r.reached_bfv;
 
   std::printf("%-16s %10s %9s %6s %8s %8s %8s\n", "engine", "time(s)",
               "Peak(K)", "iters", "states", "chi sz", "bfv sz");
   for (const Row& row : rows) {
     std::printf("%-16s %10.4f %9.1f %6u %8.0f %8zu %8zu\n", row.name,
                 row.r.seconds, row.r.peak_live_nodes / 1000.0,
-                row.r.iterations, row.r.states, row.r.chi_nodes,
-                row.r.bfv_nodes);
+                row.r.iterations, row.r.states, row.sizes.chi_nodes,
+                row.sizes.bfv_nodes);
   }
 
   // Invariant: the priority pointer stays one-hot. The bad set is built
@@ -65,7 +73,7 @@ int main(int argc, char** argv) {
     one_hot |= cube;
   }
   const bfv::Bfv bad = bfv::fromChar(m, ~one_hot, s.currentVars());
-  const bfv::Bfv violations = setIntersect(*bfv_run.reached_bfv, bad);
+  const bfv::Bfv violations = setIntersect(reached, bad);
   std::printf("\nAG one-hot(pointer): %s\n",
               violations.isEmpty() ? "HOLDS (no reachable violation)"
                                    : "VIOLATED");

@@ -487,7 +487,8 @@ class Manager {
   Bdd supportCube(const Bdd& f);
   /// Positive cube over the given variables.
   Bdd cube(std::span<const unsigned> vars);
-  /// Number of minterms over `num_vars` variables.
+  /// Number of minterms over `num_vars` variables: exact for functions of
+  /// up to 64 variables, rounded once to the nearest double.
   double satCount(const Bdd& f, unsigned num_vars);
   /// Distinct nodes reachable from f (including the terminal), à la
   /// Cudd_DagSize.

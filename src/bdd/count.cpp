@@ -1,6 +1,7 @@
 // Structural queries: support, node counts, minterm counting, evaluation,
 // and satisfying-cube extraction.
 #include <bit>
+#include <cmath>
 #include <unordered_map>
 
 #include "bdd/bdd.hpp"
@@ -55,27 +56,31 @@ Bdd Manager::supportCube(const Bdd& f) {
 
 double Manager::satCount(const Bdd& f, unsigned num_vars) {
   const Edge root = requireSameManager(f);
-  std::unordered_map<Edge, double> memo;
+  std::unordered_map<Edge, long double> memo;
   // Satisfying fraction, memoized on regular edges (complements are 1-p).
-  auto prob = [&](auto&& self, Edge e) -> double {
-    if (e == kTrueEdge) return 1.0;
-    if (e == kFalseEdge) return 0.0;
+  // Every fraction of a function of d variables is k / 2^d, exact in a d-bit
+  // significand, and so is 1 - p. A long double (64-bit significand on
+  // x86-64) keeps that up to 64 variables, where a double's 1 - p would
+  // cancel (a one-state set of 64 variables would count 0); the count is
+  // rounded once, at the end.
+  auto prob = [&](auto&& self, Edge e) -> long double {
+    if (e == kTrueEdge) return 1.0L;
+    if (e == kFalseEdge) return 0.0L;
     const bool compl_in = isCompl(e);
     const Edge reg = regular(e);
-    double p;
+    long double p;
     if (auto it = memo.find(reg); it != memo.end()) {
       p = it->second;
     } else {
-      const double ph = self(self, highOf(reg));
-      const double pl = self(self, lowOf(reg));
-      p = 0.5 * ph + 0.5 * pl;
+      const long double ph = self(self, highOf(reg));
+      const long double pl = self(self, lowOf(reg));
+      p = 0.5L * ph + 0.5L * pl;
       memo.emplace(reg, p);
     }
-    return compl_in ? 1.0 - p : p;
+    return compl_in ? 1.0L - p : p;
   };
-  double scale = 1.0;
-  for (unsigned i = 0; i < num_vars; ++i) scale *= 2.0;
-  return prob(prob, root) * scale;
+  return static_cast<double>(
+      std::ldexp(prob(prob, root), static_cast<int>(num_vars)));
 }
 
 std::size_t Manager::nodeCount(const Bdd& f) {

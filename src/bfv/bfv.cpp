@@ -1,10 +1,14 @@
 // Bfv basics: elementary-set constructors, observers, characteristic
-// function (§2.7 identity), canonicity checking.
+// function (§2.7 identity), the chi-free state count, canonicity checking.
 #include "bfv/bfv.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+
+#include "bfv/internal.hpp"
 
 namespace bfvr::bfv {
 
@@ -21,6 +25,62 @@ void requireIncreasing(const std::vector<unsigned>& vars) {
 }
 
 }  // namespace
+
+namespace internal {
+
+double countMembers(Manager& m, const std::vector<unsigned>& vars,
+                    const std::vector<Bdd>& comps, bool constraints) {
+  // w holds W_i, the number of completions v_{i+1..n} of a prefix v_1..v_i,
+  // as binary digits (BDDs over the prefix, least significant first):
+  //   W_n = 1,   W_{i-1} = c_i|v_i=0 * W_i|v_i=0 + c_i|v_i=1 * W_i|v_i=1,
+  // the sum by ripple-carry addition. W_0 depends on no variable: the count.
+  std::vector<Bdd> w{m.one()};
+  std::vector<Bdd> lo, hi;
+  for (std::size_t i = vars.size(); i-- > 0;) {
+    auto [c0, c1] = m.cofactor2(comps[i], vars[i]);
+    // For c_i = v_i XNOR f_i: c_i|v_i=0 = ~f_i|v_i=0, c_i|v_i=1 = f_i|v_i=1.
+    if (!constraints) c0 = ~c0;
+    lo.resize(w.size());
+    hi.resize(w.size());
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      const auto [w0, w1] = m.cofactor2(w[k], vars[i]);
+      lo[k] = c0 & w0;
+      hi[k] = c1 & w1;
+    }
+    Bdd carry = m.zero();
+    for (std::size_t k = 0; k < w.size(); ++k) {
+      const Bdd t = lo[k] ^ hi[k];
+      w[k] = t ^ carry;
+      carry = m.ite(t, carry, lo[k]);
+    }
+    w.push_back(carry);
+    while (w.size() > 1 && w.back().isFalse()) w.pop_back();
+  }
+  for (const Bdd& digit : w) {
+    if (!digit.isConst()) {
+      throw std::logic_error(
+          "countMembers: a component depends on a later choice variable");
+    }
+  }
+  if (w.back().isFalse()) return 0.0;
+  // Round to nearest: the top 64 digits, with every lower digit folded into
+  // a sticky bit 0, convert like the exact integer would (the sticky bit sits
+  // far below the 53-bit rounding position).
+  const std::size_t low = w.size() > 64 ? w.size() - 64 : 0;
+  std::uint64_t top = 0;
+  for (std::size_t k = w.size(); k-- > low;) {
+    top = (top << 1) | (w[k].isTrue() ? 1U : 0U);
+  }
+  for (std::size_t k = 0; k < low; ++k) {
+    if (w[k].isTrue()) {
+      top |= 1U;
+      break;
+    }
+  }
+  return std::ldexp(static_cast<double>(top), static_cast<int>(low));
+}
+
+}  // namespace internal
 
 Bfv Bfv::emptySet(Manager& m, std::vector<unsigned> choice_vars) {
   requireIncreasing(choice_vars);
@@ -130,7 +190,7 @@ Bdd Bfv::toChar() const {
 double Bfv::countStates() const {
   if (isNull()) throw std::logic_error("countStates on null Bfv");
   if (empty_) return 0.0;
-  return mgr_->satCount(toChar(), width());
+  return internal::countMembers(*mgr_, vars_, comps_, /*constraints=*/false);
 }
 
 std::size_t Bfv::sharedSize() const {

@@ -90,7 +90,11 @@ class Bfv {
 
   /// Membership: F(x) == x.
   bool contains(const std::vector<bool>& bits) const;
-  /// Number of states in the set.
+  /// Number of states in the set, counted on the components without
+  /// building the characteristic function: bottom-up over the components,
+  /// the number of completions of each prefix is kept as a vector of BDD
+  /// bits (one ripple-carry addition per component). Exact below 2^53;
+  /// above, the exact count rounded to the nearest double.
   double countStates() const;
   /// Shared BDD size of all components — the paper's "BFV size" metric
   /// (Table 3).

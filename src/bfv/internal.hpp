@@ -24,6 +24,16 @@ bool intersectCore(Manager& m, const std::vector<unsigned>& vars,
                    const std::vector<Bdd>& f, const std::vector<Bdd>& g,
                    std::vector<Bdd>& out);
 
+/// Number of assignments to `vars` that satisfy AND_i c_i, where c_i
+/// depends on vars[0..i] only, computed without building that conjunction.
+/// `comps` holds the constraints c_i themselves when `constraints` is true
+/// (a conjunctive decomposition), and canonical BFV components f_i, standing
+/// for c_i = v_i XNOR f_i, when it is false. The count is an integer of up to
+/// vars.size() + 1 binary digits, returned as the nearest double: exact below
+/// 2^53, correctly rounded (to nearest, ties to even) above.
+double countMembers(Manager& m, const std::vector<unsigned>& vars,
+                    const std::vector<Bdd>& comps, bool constraints);
+
 /// Combines the two cofactor slices of a component vector into one (the
 /// union-of-cofactors step of existential quantification). Both the BFV
 /// union core and the conjunctive-decomposition union fit this signature.

@@ -129,7 +129,8 @@ Bfv Cdec::toBfv() const {
 double Cdec::countStates() const {
   if (isNull()) throw std::logic_error("countStates on null Cdec");
   if (empty_) return 0.0;
-  return mgr_->satCount(toChar(), width());
+  return bfv::internal::countMembers(*mgr_, vars_, comps_,
+                                     /*constraints=*/true);
 }
 
 std::size_t Cdec::sharedSize() const {

@@ -71,6 +71,9 @@ class Cdec {
   Bdd toChar() const;
   /// The corresponding canonical BFV.
   Bfv toBfv() const;
+  /// Number of states, counted on the constraints with the same chi-free
+  /// prefix count as Bfv::countStates (c_i is the i-th constraint). Exact
+  /// below 2^53; above, the exact count rounded to the nearest double.
   double countStates() const;
   std::size_t sharedSize() const;
 

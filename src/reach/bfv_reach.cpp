@@ -1,10 +1,9 @@
 // The paper's reachability flow (Fig. 2): symbolic simulation for images,
 // re-parameterization and set union directly on the canonical functional
-// vector. No characteristic function is built inside the loop, except for
-// the trace's state count when tracing is on; the reached set's chi is built
-// once, after the loop, for the result. The kCdec backend performs the same
-// steps on the conjunctive decomposition (§2.7), using the constrain-based
-// union.
+// vector. No characteristic function is built, not even for the state
+// count (Bfv::countStates counts on the components). The kCdec backend
+// performs the same steps on the conjunctive decomposition (§2.7), using the
+// constrain-based union.
 #include "reach/internal.hpp"
 
 namespace bfvr::reach {
@@ -129,12 +128,11 @@ class CdecOps {
     return c;
   }
 
-  void finish(const Cdec& reached, ReachResult& r) const {
+  /// The result carries the decomposition's BFV view (two cofactors per
+  /// component), the form every consumer of reached_bfv expects.
+  static void finish(const Cdec& reached, ReachResult& r) {
+    r.states = reached.countStates();
     r.reached_bfv = reached.toBfv();
-    r.bfv_nodes = r.reached_bfv->sharedSize();
-    r.reached_chi = reached.toChar();
-    r.states = s_.manager().satCount(r.reached_chi, reached.width());
-    r.chi_nodes = s_.manager().nodeCount(r.reached_chi);
   }
 
  private:
@@ -197,16 +195,6 @@ io::Checkpoint BfvOps::encode(const Bfv& reached, const Bfv& from) const {
   c.reached_empty = reached.isEmpty();
   c.frontier_empty = from.isEmpty();
   return c;
-}
-
-void BfvOps::finish(const Bfv& reached, ReachResult& r) const {
-  r.bfv_nodes = reached.sharedSize();
-  r.reached_bfv = reached;
-  // Table 3's chi size: built once, after the measured run. The state count
-  // reads the same chi rather than building another through countStates().
-  r.reached_chi = reached.toChar();
-  r.states = s_.manager().satCount(r.reached_chi, reached.width());
-  r.chi_nodes = s_.manager().nodeCount(r.reached_chi);
 }
 
 }  // namespace internal

@@ -174,15 +174,8 @@ class ChiOps {
   }
 
   void finish(const Bdd& reached, ReachResult& r) const {
-    Manager& m = s_.manager();
-    r.states = m.satCount(reached, s_.numLatches());
-    r.chi_nodes = m.nodeCount(reached);
+    r.states = states(reached);
     r.reached_chi = reached;
-    // Table 3 wants the BFV size of the same set; conversion happens after
-    // the measured run (outside guard.sample()).
-    const Bfv f = bfv::fromChar(m, reached, s_.currentVars());
-    r.bfv_nodes = f.sharedSize();
-    r.reached_bfv = f;
   }
 
  private:

@@ -14,8 +14,9 @@
 //
 // All engines run one fixpoint loop (internal.hpp) under a time/node
 // budget and report the paper's metrics: wall-clock seconds and peak live
-// BDD nodes, plus iteration counts and the reached set's size in both
-// representations.
+// BDD nodes, plus iteration counts, the state count and the reached set in
+// the engine's own representation. reachedSizes() converts it to the other
+// one, outside the run, for Table 3.
 #pragma once
 
 #include <cstdint>
@@ -112,12 +113,6 @@ struct ReachResult {
   /// Peak live BDD nodes, sampled after every image/union step (the
   /// paper's Peak(K) metric).
   std::size_t peak_live_nodes = 0;
-  /// Node count of the reached set's characteristic function (TR/CBM
-  /// engines compute it anyway; BFV engines convert once at the end —
-  /// outside the measured peak — for Table 3).
-  std::size_t chi_nodes = 0;
-  /// Shared node count of the reached set's functional vector.
-  std::size_t bfv_nodes = 0;
   /// BDD operation counters accumulated over the run.
   bdd::OpStats ops;
 
@@ -126,11 +121,26 @@ struct ReachResult {
   /// `iterations` still counts it.
   std::optional<obs::RunTrace> trace;
 
-  /// Reached set in both representations: every engine sets both when it
-  /// completes (kDone).
+  /// Reached set in the engine's own representation, set when the loop
+  /// ends without a budget or interrupt: the Fig. 2 engine (either backend)
+  /// sets reached_bfv, the chi engines (TR, CBM, hybrid) set reached_chi.
+  /// No engine converts it; reachedSizes() does.
   std::optional<Bfv> reached_bfv;
   Bdd reached_chi;
 };
+
+/// Table 3's pair for one reached set: the node count of its characteristic
+/// function and the shared node count of its canonical BFV.
+struct ReachedSizes {
+  std::size_t chi_nodes = 0;
+  std::size_t bfv_nodes = 0;
+};
+
+/// Both sizes of `r`'s reached set. Builds the representation the engine did
+/// not return (the chi of a BFV, the BFV of a chi), so it is never part of a
+/// run's measured time or peak; call it while `s`'s manager is alive. Zero
+/// sizes when the run left no reached set.
+ReachedSizes reachedSizes(const sym::StateSpace& s, const ReachResult& r);
 
 /// Characteristic-function engine (VIS-like baseline).
 ReachResult reachTr(sym::StateSpace& s, const ReachOptions& opts = {});

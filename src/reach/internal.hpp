@@ -225,7 +225,9 @@ ReachResult runGuarded(Manager& m, const ReachOptions& opts, Body&& body) {
 ///   size(set)                    a set's BDD size
 ///   kSampleUnion                 whether the peak is sampled after the union
 ///   encode(reached, from)        the checkpoint's tag, kind and roots
-///   finish(reached, r)           the result's set fields, after the loop
+///   finish(reached, r)           after the loop: the result's state count
+///                                and its reached set, in this
+///                                representation only (no conversion)
 ///
 /// Handle lifetimes and peak samples are part of every engine's measured
 /// behaviour: the live set at each guard.sample() is the paper's Peak(K),
@@ -328,7 +330,10 @@ class BfvOps {
   }
   static std::size_t size(const Bfv& f) { return f.sharedSize(); }
   io::Checkpoint encode(const Bfv& reached, const Bfv& from) const;
-  void finish(const Bfv& reached, ReachResult& r) const;
+  static void finish(const Bfv& reached, ReachResult& r) {
+    r.states = reached.countStates();
+    r.reached_bfv = reached;
+  }
 
  private:
   sym::StateSpace& s_;

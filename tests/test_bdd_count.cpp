@@ -110,6 +110,19 @@ TEST(BddCount, SatCountOfConstants) {
   EXPECT_DOUBLE_EQ(m.satCount(m.one(), 0), 1.0);
 }
 
+TEST(BddCount, SatCountIsExactOnSparseWideFunctions) {
+  // A minterm of 64 variables with mixed polarities: along its complement
+  // edges the satisfying fraction goes through 1 - p with p below 2^-53,
+  // which a double cannot hold exactly.
+  Manager m(64);
+  Bdd cube = m.one();
+  for (unsigned v = 0; v < 64; ++v) cube &= (v % 3 == 0) ? m.var(v) : m.nvar(v);
+  EXPECT_EQ(m.satCount(cube, 64), 1.0);
+  EXPECT_EQ(m.satCount(cube | (m.var(0) & m.var(63)), 64), 0x1p62);
+  EXPECT_EQ(m.satCount(~cube, 64), 0x1p64);  // 2^64 - 1, rounded once
+  EXPECT_EQ(m.satCount(m.one(), 64), 0x1p64);
+}
+
 TEST(BddCount, PickCubeOfZeroThrows) {
   Manager m(2);
   EXPECT_THROW((void)m.pickCube(m.zero()), std::invalid_argument);

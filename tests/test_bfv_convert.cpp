@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "support/brute.hpp"
+#include "support/count_cases.hpp"
 
 namespace bfvr::bfv {
 namespace {
@@ -98,6 +99,16 @@ TEST(BfvConvert, CountStatesAgreesWithSatCount) {
     const Bfv f = test::bfvOf(m, kVars, s);
     EXPECT_DOUBLE_EQ(f.countStates(), static_cast<double>(s.size()));
   }
+  // The chi-free count against satCount of the characteristic function, on
+  // widths 1..64, the empty set, singletons, the 2^64 universe and every
+  // shipped circuit's reached set.
+  int cases = 0;
+  test::forEachCountCase([&](const Bfv& f, const std::string& label) {
+    ++cases;
+    const double want = f.manager()->satCount(f.toChar(), f.width());
+    test::expectCountAgrees(f.countStates(), want, label);
+  });
+  EXPECT_GT(cases, 64 * 15);
 }
 
 

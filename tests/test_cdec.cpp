@@ -4,6 +4,7 @@
 
 #include "cdec/cdec.hpp"
 #include "support/brute.hpp"
+#include "support/count_cases.hpp"
 
 namespace bfvr::cdec {
 namespace {
@@ -86,6 +87,19 @@ TEST(Cdec, UniverseAndEmpty) {
   EXPECT_TRUE(e.toChar().isFalse());
   EXPECT_EQ(setUnion(e, u), u);
   EXPECT_TRUE(setIntersect(e, u).isEmpty());
+}
+
+TEST(Cdec, CountStatesAgreesWithSatCount) {
+  // The BFV count's property test on the constraint form: the same sets,
+  // counted on c_i = v_i XNOR f_i instead of on f_i.
+  int cases = 0;
+  test::forEachCountCase([&](const Bfv& f, const std::string& label) {
+    ++cases;
+    const Cdec c = Cdec::fromBfv(f);
+    const double want = f.manager()->satCount(c.toChar(), c.width());
+    test::expectCountAgrees(c.countStates(), want, label);
+  });
+  EXPECT_GT(cases, 64 * 15);
 }
 
 TEST(Cdec, ConstraintComponentsHavePrefixSupport) {

@@ -92,8 +92,9 @@ TEST(Integration, TwinShiftSizesShowTheTable3Effect) {
   const ReachResult r = reach::reachBfv(s, {});
   ASSERT_EQ(r.status, RunStatus::kDone);
   EXPECT_DOUBLE_EQ(r.states, 256.0);
-  EXPECT_GT(r.chi_nodes, std::size_t{1} << bits);  // exponential blowup
-  EXPECT_LE(r.bfv_nodes, 4U * bits);               // linear
+  const reach::ReachedSizes z = reach::reachedSizes(s, r);
+  EXPECT_GT(z.chi_nodes, std::size_t{1} << bits);  // exponential blowup
+  EXPECT_LE(z.bfv_nodes, 4U * bits);               // linear
 }
 
 TEST(Integration, TwinShiftInterleavedOrderShrinksChi) {
@@ -113,8 +114,10 @@ TEST(Integration, TwinShiftInterleavedOrderShrinksChi) {
   const ReachResult r = reach::reachTr(s, {});
   ASSERT_EQ(r.status, RunStatus::kDone);
   EXPECT_DOUBLE_EQ(r.states, 256.0);
-  EXPECT_LE(r.chi_nodes, 4U * bits);  // linear under the good order
-  EXPECT_LE(r.bfv_nodes, 4U * bits);  // BFV is small under EVERY order
+  const reach::ReachedSizes z = reach::reachedSizes(s, r);
+  EXPECT_GT(z.bfv_nodes, 0U);
+  EXPECT_LE(z.chi_nodes, 4U * bits);  // linear under the good order
+  EXPECT_LE(z.bfv_nodes, 4U * bits);  // BFV is small under EVERY order
 }
 
 TEST(Integration, ReachedSetMembershipQueries) {
@@ -158,9 +161,14 @@ TEST(Integration, CbmAndBfvEnginesAgreeOnSizesOfReachedSet) {
   ASSERT_EQ(a.status, RunStatus::kDone);
   ASSERT_EQ(b.status, RunStatus::kDone);
   // Same set, same order, same canonical representations -> same sizes.
+  // CBM returns the chi and BFV the vector; each side converts the other.
   EXPECT_DOUBLE_EQ(a.states, b.states);
-  EXPECT_EQ(a.chi_nodes, b.chi_nodes);
-  EXPECT_EQ(a.bfv_nodes, b.bfv_nodes);
+  const reach::ReachedSizes za = reach::reachedSizes(s1, a);
+  const reach::ReachedSizes zb = reach::reachedSizes(s2, b);
+  EXPECT_GT(za.chi_nodes, 0U);
+  EXPECT_GT(za.bfv_nodes, 0U);
+  EXPECT_EQ(za.chi_nodes, zb.chi_nodes);
+  EXPECT_EQ(za.bfv_nodes, zb.bfv_nodes);
 }
 
 }  // namespace

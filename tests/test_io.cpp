@@ -326,13 +326,16 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
 
   // Reference: the uninterrupted fixpoint.
   reach::ReachResult ref;
+  std::size_t ref_chi_nodes = 0;
   {
     Manager m(0);
     sym::StateSpace s(m, n, circuit::makeOrder(n, order));
     ref = dispatch(engine, s, {});
+    ref_chi_nodes = reach::reachedSizes(s, ref).chi_nodes;
     ref.reached_bfv.reset();
     ref.reached_chi = Bdd();
   }
+  EXPECT_GT(ref_chi_nodes, 0U) << file << " " << name(engine);
   ASSERT_EQ(ref.status, RunStatus::kDone) << file << " " << name(engine);
 
   const std::string path =
@@ -400,7 +403,8 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
   EXPECT_EQ(resumed.status, ref.status) << file << " " << name(engine);
   EXPECT_EQ(resumed.iterations, ref.iterations) << file << " " << name(engine);
   EXPECT_DOUBLE_EQ(resumed.states, ref.states) << file << " " << name(engine);
-  EXPECT_EQ(resumed.chi_nodes, ref.chi_nodes) << file << " " << name(engine);
+  EXPECT_EQ(reach::reachedSizes(s, resumed).chi_nodes, ref_chi_nodes)
+      << file << " " << name(engine);
   std::remove(path.c_str());
 }
 

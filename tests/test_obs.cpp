@@ -330,13 +330,56 @@ TEST(ReachTrace, TracingDoesNotChangeTheComputation) {
   bdd::Manager m2(0);
   sym::StateSpace s2(m2, n, circuit::makeOrder(n, {}));
   const reach::ReachResult b = reach::reachBfv(s2, traced);
-  // Tracing pays for its own measurements (the per-iteration state count
-  // runs a toChar), but it must never change what the engine computes.
+  // Tracing pays for its own measurements (a live-node census and a state
+  // count per iteration), but it must never change what the engine
+  // computes.
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.states, b.states);
-  EXPECT_EQ(a.chi_nodes, b.chi_nodes);
-  EXPECT_EQ(a.bfv_nodes, b.bfv_nodes);
+  const reach::ReachedSizes za = reach::reachedSizes(s1, a);
+  const reach::ReachedSizes zb = reach::reachedSizes(s2, b);
+  EXPECT_GT(za.chi_nodes, 0U);
+  EXPECT_GT(za.bfv_nodes, 0U);
+  EXPECT_EQ(za.chi_nodes, zb.chi_nodes);
+  EXPECT_EQ(za.bfv_nodes, zb.bfv_nodes);
   EXPECT_EQ(a.status, b.status);
+}
+
+TEST(ReachTrace, EveryEngineCountsTheSameFrontierStates) {
+  // With the selection heuristic off, every engine simulates from its whole
+  // reached set, so record i's frontier_states is the number of states
+  // reachable within i - 1 steps: one sequence per circuit, whichever
+  // representation (chi, BFV, CDEC) holds and counts the set.
+  const circuit::Netlist circuits[] = {
+      circuit::makeJohnson(5),
+      circuit::parseBenchFile(std::string(BFVR_DATA_DIR) + "/fifo3.bench"),
+      circuit::parseBenchFile(std::string(BFVR_DATA_DIR) + "/twin6.bench")};
+  for (const circuit::Netlist& n : circuits) {
+    std::vector<double> ref;
+    for (const Engine e : {Engine::kTr, Engine::kCbm, Engine::kHybrid,
+                           Engine::kBfv, Engine::kCdec}) {
+      bdd::Manager m(0);
+      sym::StateSpace s(m, n, circuit::makeOrder(n, {}));
+      reach::ReachOptions opts;
+      opts.trace = true;
+      opts.use_frontier = false;
+      const reach::ReachResult r = runEngine(e, s, opts);
+      ASSERT_EQ(r.status, RunStatus::kDone) << n.name();
+      ASSERT_TRUE(r.trace.has_value()) << n.name();
+      std::vector<double> seq;
+      for (const obs::IterationRecord& rec : r.trace->iterations) {
+        seq.push_back(rec.frontier_states);
+      }
+      ASSERT_EQ(seq.size(), r.iterations) << n.name();
+      EXPECT_EQ(seq.front(), 1.0) << n.name();  // the initial state
+      EXPECT_EQ(seq.back(), r.states) << n.name();  // the fixpoint
+      EXPECT_TRUE(std::is_sorted(seq.begin(), seq.end())) << n.name();
+      if (ref.empty()) {
+        ref = seq;
+      } else {
+        EXPECT_EQ(seq, ref) << n.name() << " engine " << static_cast<int>(e);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

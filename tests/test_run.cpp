@@ -131,7 +131,9 @@ TEST(RunJob, CompletesSmallCircuit) {
   EXPECT_EQ(r.status, RunStatus::kDone);
   EXPECT_EQ(r.reach.states, 16.0);
   EXPECT_EQ(r.reach.iterations, 16U);
-  // The reached-set handles were dropped with the job's manager.
+  // The reached-set handles were dropped with the job's manager (a BFV job
+  // returns the vector, which is the handle to check).
+  EXPECT_FALSE(r.reach.reached_bfv.has_value());
   EXPECT_TRUE(r.reach.reached_chi.isNull());
 }
 
