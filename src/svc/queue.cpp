@@ -234,20 +234,6 @@ std::size_t FairQueue::queuedCount() const noexcept {
   return n;
 }
 
-std::uint32_t FairQueue::runningCount(const std::string& tenant) const {
-  for (const auto& t : tenants_) {
-    if (t->cfg.name == tenant) return t->running;
-  }
-  return 0;
-}
-
-std::vector<std::string> FairQueue::tenantNames() const {
-  std::vector<std::string> out;
-  out.reserve(tenants_.size());
-  for (const auto& t : tenants_) out.push_back(t->cfg.name);
-  return out;
-}
-
 const TenantConfig* FairQueue::tenantConfig(const std::string& name) const {
   for (const auto& t : tenants_) {
     if (t->cfg.name == name) return &t->cfg;

@@ -55,9 +55,6 @@ struct QueuedJob {
   unsigned avoid_worker = run::WorkerPool::kAnyWorker;
   /// Evictions this job has survived so far.
   std::uint32_t evictions = 0;
-  /// Client idempotency key ("" = none): duplicate submissions carrying
-  /// the same key reattach to this job instead of enqueuing a new one.
-  std::string idem;
 };
 
 /// The fair submission queue. Not thread-safe: the server serializes all
@@ -103,10 +100,6 @@ class FairQueue {
   bool reattachSession(std::uint64_t job_id, std::uint64_t session);
 
   std::size_t queuedCount() const noexcept;
-  std::uint32_t runningCount(const std::string& tenant) const;
-
-  /// Tenant names in registration order (auto-registered ones appended).
-  std::vector<std::string> tenantNames() const;
   const TenantConfig* tenantConfig(const std::string& name) const;
 
   /// Dispatch log: tenant name per pick(), in order — the soak test's

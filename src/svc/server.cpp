@@ -36,6 +36,14 @@ obs::Counter& tenantCounter(const char* name, const std::string& tenant) {
                                          obs::metricLabel("tenant", tenant));
 }
 
+/// Write `text` to `path`, logging a failure; returns whether it worked.
+bool writeFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  if (out) out << text;
+  if (!out) obs::logLine(obs::LogLevel::kError, "svc", "cannot write " + path);
+  return static_cast<bool>(out);
+}
+
 obs::Histogram& dispatchHistogram() {
   static obs::Histogram& h = obs::Registry::global().histogram(
       "bfvr_svc_dispatch_seconds", "", obs::kSecondsScale);
@@ -47,8 +55,18 @@ obs::Histogram& iterationHistogram() {
   return h;
 }
 
-std::string statusDetail(const std::string& status, unsigned worker) {
-  return status + " worker=" + std::to_string(worker);
+/// The answer to a duplicate of a finished job, built from its `done`
+/// record alone so it reads the same before and after a restart. Fields
+/// the journal does not carry (worker, peak, attempts, ...) read 0.
+JobDone doneFrame(const JournalRecord& done) {
+  JobDone out;
+  out.job = done.job;
+  out.status = done.status;
+  out.message = done.message;
+  out.iterations = done.iteration;
+  out.states = done.states;
+  out.seconds = done.seconds;
+  return out;
 }
 
 }  // namespace
@@ -58,6 +76,7 @@ Server::Server(const Options& opts)
       endpoint_(Endpoint::parse(opts.endpoint)),
       listener_(listenOn(endpoint_)),
       queue_(opts.tenants),
+      table_(!opts.journal_dir.empty()),
       flight_(opts.flight_capacity),
       pool_(opts.workers, opts.warm_managers) {
   for (const TenantConfig& t : opts.tenants) {
@@ -88,10 +107,8 @@ void Server::start() {
                    std::to_string(pool_.workers()) + " workers");
   // Jobs replayed from the journal are already queued; nothing else will
   // pump them until a client shows up, so dispatch them now.
-  if (journal_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    pump();
-  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  pump();
 }
 
 void Server::requestShutdown(bool drain) {
@@ -118,10 +135,13 @@ void Server::requestShutdown(bool drain) {
       // Immediate: cancel every running job and drop the queue. Dropped
       // jobs' owners get no JobDone — their sessions are about to close.
       // With a journal the dropped work is not lost, only deferred: the
-      // jobs stay non-terminal in the log and replay on the next start.
+      // jobs stay live in the table and the log, and replay on the next
+      // start.
       for (auto& [id, r] : running_) r.cancel->cancel();
-      for (QueuedJob& dropped : queue_.dropAll()) {
-        if (journal_ == nullptr) statsFor(dropped.tenant).cancelled += 1;
+      for (const QueuedJob& dropped : queue_.dropAll()) {
+        if (journal_ == nullptr) {
+          cancelQueuedLocked(dropped, "dropped at shutdown", false);
+        }
       }
     } else {
       pump();  // capped tenants may have runnable work and idle workers
@@ -137,21 +157,14 @@ void Server::waitStopped() {
     cv_.wait(lock, [this] { return shutdown_requested_; });
     // Drain: wait until nothing is queued and no worker is busy.
     cv_.wait(lock, [this] {
-      return outstanding_ == 0 && queue_.queuedCount() == 0;
+      return running_.empty() && queue_.queuedCount() == 0;
     });
-    if (!opts_.report_path.empty()) {
-      const std::string json =
-          buildReportLocked(StatsQuery::kIncludeMetrics |
-                            StatsQuery::kIncludeSpans);
-      std::ofstream out(opts_.report_path);
-      if (out) {
-        out << json << "\n";
-        obs::logLine(obs::LogLevel::kInfo, "svc",
-                     "wrote " + opts_.report_path);
-      } else {
-        obs::logLine(obs::LogLevel::kError, "svc",
-                     "cannot write " + opts_.report_path);
-      }
+    if (!opts_.report_path.empty() &&
+        writeFile(opts_.report_path,
+                  buildReportLocked(StatsQuery::kIncludeMetrics |
+                                    StatsQuery::kIncludeSpans) +
+                      "\n")) {
+      obs::logLine(obs::LogLevel::kInfo, "svc", "wrote " + opts_.report_path);
     }
     if (journal_ != nullptr) finishJournalLocked();
     stopped_ = true;
@@ -267,17 +280,18 @@ void Server::sessionLoop(std::shared_ptr<Session> s) {
     err.message = e.what();
     sendTo(s, err.encode());
   }
-  // Session teardown. Without a journal: orphan its queued jobs and cancel
-  // its running ones — results with no one to read them are wasted worker
-  // time. With a journal the jobs are kept (detached from the dead
-  // session): the client is expected to reconnect and resubmit with its
-  // idempotency keys, and the work already done must not be thrown away.
+  // Session teardown. Without a journal: retire its queued jobs as
+  // cancelled and cancel its running ones — results with no one to read
+  // them are wasted worker time. With a journal the jobs are kept
+  // (detached from the dead session): the client is expected to reconnect
+  // and resubmit with its idempotency keys, and the work already done must
+  // not be thrown away.
   {
     const std::lock_guard<std::mutex> lock(mu_);
     s->alive.store(false, std::memory_order_relaxed);
     if (journal_ == nullptr) {
-      for (QueuedJob& dropped : queue_.dropSession(s->id)) {
-        statsFor(dropped.tenant).cancelled += 1;
+      for (const QueuedJob& dropped : queue_.dropSession(s->id)) {
+        cancelQueuedLocked(dropped, "session closed", false);
       }
       for (auto& [id, r] : running_) {
         if (r.job.session == s->id) r.cancel->cancel();
@@ -303,25 +317,9 @@ bool Server::handleFrame(const std::shared_ptr<Session>& s, const Frame& f) {
         it->second.cancel->cancel();
       } else if (std::optional<QueuedJob> dropped = queue_.dropJob(c.job);
                  dropped.has_value()) {
-        statsFor(dropped->tenant).cancelled += 1;
-        JobDone done;
-        done.job = dropped->id;
-        done.status = to_string(RunStatus::kCancelled);
-        done.message = "cancelled while queued";
-        done.evictions = dropped->evictions;
-        if (journal_ != nullptr) {
-          // An explicit client cancel is terminal: journal it so the job
-          // does not rise from the dead on the next restart.
-          JournalRecord rec;
-          rec.event = JournalEvent::kDone;
-          rec.job = dropped->id;
-          rec.status = done.status;
-          rec.message = done.message;
-          journalAppend(rec);
-          journal_live_.erase(dropped->id);
-          done_cache_[dropped->id] = done;
-        }
-        sendTo(s, done.encode());
+        // An explicit client cancel is terminal, journal or not: the job
+        // must not rise from the dead on the next restart.
+        cancelQueuedLocked(*dropped, "cancelled while queued", true);
         pump();
       }
       return true;
@@ -330,7 +328,7 @@ bool Server::handleFrame(const std::shared_ptr<Session>& s, const Frame& f) {
       const Evict e = Evict::decode(f);
       const std::lock_guard<std::mutex> lock(mu_);
       if (auto it = running_.find(e.job); it != running_.end()) {
-        it->second.evict_requested->store(true, std::memory_order_relaxed);
+        it->second.evict_requested = true;
         it->second.cancel->cancel();
       }
       return true;
@@ -357,14 +355,81 @@ bool Server::handleFrame(const std::shared_ptr<Session>& s, const Frame& f) {
 
 void Server::handleSubmit(const std::shared_ptr<Session>& s, const Frame& f) {
   const Submit sub = Submit::decode(f);
-  Rejected rej;
-  rej.tag = sub.tag;
+  const std::lock_guard<std::mutex> lock(mu_);
+  // Accepted carries the span's trace id while the span is retained.
+  const auto accept = [&](std::uint64_t id) {
+    Accepted acc;
+    acc.tag = sub.tag;
+    acc.job = id;
+    if (auto it = spans_.find(id); it != spans_.end()) {
+      acc.trace = it->second.trace_id;
+    }
+    sendTo(s, acc.encode());
+  };
+  statsFor(s->tenant).submitted += 1;
+  tenantCounter("bfvr_svc_submissions_total", s->tenant).inc();
+  // Idempotent resubmission: a key this tenant already used answers with
+  // the original job's identity — and its terminal result when it already
+  // finished — instead of executing a second time. A live job is
+  // reattached to this session so its remaining frames land here.
+  if (journal_ != nullptr && !sub.idem.empty()) {
+    if (const JobEntry* known = table_.findKey(s->tenant, sub.idem)) {
+      const std::uint64_t id = known->accepted.job;
+      dedup_hits_ += 1;
+      tenantCounter("bfvr_svc_dedup_hits_total", s->tenant).inc();
+      flight_.record(obs::FlightSeverity::kInfo, "dedup",
+                     "idem '" + sub.idem + "' matched job " +
+                         std::to_string(id),
+                     s->tenant, id);
+      if (auto rit = running_.find(id); rit != running_.end()) {
+        rit->second.job.session = s->id;
+      } else {
+        queue_.reattachSession(id, s->id);
+      }
+      accept(id);
+      if (known->done.has_value()) {
+        sendTo(s, doneFrame(*known->done).encode());
+      }
+      return;
+    }
+  }
+  JournalRecord accepted;
+  accepted.event = JournalEvent::kAccepted;
+  accepted.job = table_.nextId();
+  accepted.tenant = s->tenant;
+  accepted.idem = sub.idem;
+  accepted.line = sub.line;
+  const std::optional<std::string> refused =
+      draining_ ? std::optional<std::string>("server is draining")
+                : admitLocked(accepted, s->id, false);
+  if (refused.has_value()) {
+    statsFor(s->tenant).rejected += 1;
+    tenantCounter("bfvr_svc_rejected_total", s->tenant).inc();
+    flight_.record(obs::FlightSeverity::kWarn, "admission",
+                   "rejected: " + *refused, s->tenant);
+    Rejected rej;
+    rej.tag = sub.tag;
+    rej.reason = *refused;
+    sendTo(s, rej.encode());
+    return;
+  }
+  accept(accepted.job);
+  pump();
+}
+
+std::optional<std::string> Server::admitLocked(const JournalRecord& accepted,
+                                               std::uint64_t session,
+                                               bool replayed) {
+  const std::uint64_t id = accepted.job;
   QueuedJob job;
+  job.id = id;
+  job.session = session;
+  job.tenant = accepted.tenant;
   try {
     // One submission = one manifest line; portfolio entries are a batch
     // feature and not accepted over the wire.
     std::vector<run::ManifestEntry> entries =
-        run::parseManifestString(sub.line);
+        run::parseManifestString(accepted.line);
     if (entries.size() != 1) {
       throw std::invalid_argument("expected exactly one job line");
     }
@@ -373,184 +438,210 @@ void Server::handleSubmit(const std::shared_ptr<Session>& s, const Frame& f) {
     }
     job.spec = std::move(entries[0].spec);
   } catch (const std::exception& e) {
-    rej.reason = e.what();
-    const std::lock_guard<std::mutex> lock(mu_);
-    statsFor(s->tenant).submitted += 1;
-    statsFor(s->tenant).rejected += 1;
-    tenantCounter("bfvr_svc_submissions_total", s->tenant).inc();
-    tenantCounter("bfvr_svc_rejected_total", s->tenant).inc();
-    flight_.record(obs::FlightSeverity::kWarn, "admission",
-                   "rejected: " + rej.reason, s->tenant);
-    sendTo(s, rej.encode());
-    return;
+    return e.what();
   }
-  job.session = s->id;
-  job.tenant = s->tenant;
-  job.idem = sub.idem;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    obs::SvcTenantStats& ts = statsFor(s->tenant);
-    ts.submitted += 1;
-    tenantCounter("bfvr_svc_submissions_total", s->tenant).inc();
-    // Idempotent resubmission: a key the journal already knows answers
-    // with the original job's identity — and its terminal result when it
-    // already finished — instead of executing a second time. A live job
-    // is reattached to this session so its remaining frames land here.
-    if (journal_ != nullptr && !sub.idem.empty()) {
-      if (auto it = idem_to_job_.find(sub.idem); it != idem_to_job_.end()) {
-        const std::uint64_t id = it->second;
-        dedup_hits_ += 1;
-        tenantCounter("bfvr_svc_dedup_hits_total", s->tenant).inc();
-        flight_.record(obs::FlightSeverity::kInfo, "dedup",
-                       "idem '" + sub.idem + "' matched job " +
-                           std::to_string(id),
-                       s->tenant, id);
-        if (auto rit = running_.find(id); rit != running_.end()) {
-          rit->second.job.session = s->id;
-        } else {
-          queue_.reattachSession(id, s->id);
-        }
-        Accepted acc;
-        acc.tag = sub.tag;
-        acc.job = id;
-        if (auto sit = spans_.find(id); sit != spans_.end()) {
-          acc.trace = sit->second.trace_id;
-        }
-        sendTo(s, acc.encode());
-        if (auto dit = done_cache_.find(id); dit != done_cache_.end()) {
-          sendTo(s, dit->second.encode());
-        }
-        return;
-      }
-    }
-    if (draining_) {
-      ts.rejected += 1;
-      tenantCounter("bfvr_svc_rejected_total", s->tenant).inc();
-      rej.reason = "server is draining";
-      flight_.record(obs::FlightSeverity::kWarn, "admission",
-                     "rejected: " + rej.reason, s->tenant);
-      sendTo(s, rej.encode());
-      return;
-    }
-    job.id = next_job_++;
-    // Make the job evictable: wire up the spool checkpoint unless the
-    // submission already checkpoints somewhere of its own.
-    if (job.spec.opts.checkpoint_path.empty() && opts_.checkpoint_every > 0) {
-      job.spec.opts.checkpoint_every = opts_.checkpoint_every;
-      job.spec.opts.checkpoint_path = spoolPathFor(job.id);
-    }
-    const std::uint64_t id = job.id;
-    const std::string display = job.spec.displayName();
-    if (std::optional<std::string> reason = queue_.admit(std::move(job));
-        reason.has_value()) {
-      ts.rejected += 1;
-      tenantCounter("bfvr_svc_rejected_total", s->tenant).inc();
-      rej.reason = *reason;
-      flight_.record(obs::FlightSeverity::kWarn, "admission",
-                     "rejected: " + rej.reason, s->tenant);
-      sendTo(s, rej.encode());
-      return;
-    }
+  // Make the job evictable: wire up the spool checkpoint unless the
+  // submission already checkpoints somewhere of its own. A replayed job
+  // resumes from its spool snapshot when one exists (io::save is atomic,
+  // so a snapshot that exists is complete).
+  if (job.spec.opts.checkpoint_path.empty() && opts_.checkpoint_every > 0) {
+    job.spec.opts.checkpoint_every = opts_.checkpoint_every;
+    job.spec.opts.checkpoint_path = spoolPathFor(id);
+  }
+  if (replayed && !job.spec.opts.checkpoint_path.empty()) {
+    job.spec.resume_image = slurpSpool(job.spec.opts.checkpoint_path);
+  }
+  const bool resumed = job.spec.resume_image != nullptr;
+  const std::string display = job.spec.displayName();
+  if (std::optional<std::string> reason = queue_.admit(std::move(job));
+      reason.has_value()) {
+    return reason;
+  }
+  if (!replayed) {
     // Write-ahead: the accept must be durable before the client hears it,
     // or a crash between the two could lose a job the client believes is
     // in flight. A journal that cannot take the record refuses the job.
-    if (journal_ != nullptr) {
-      JournalRecord rec;
-      rec.event = JournalEvent::kAccepted;
-      rec.job = id;
-      rec.tenant = s->tenant;
-      rec.idem = sub.idem;
-      rec.line = sub.line;
-      if (!journalAppend(rec)) {
-        queue_.dropJob(id);
-        ts.rejected += 1;
-        tenantCounter("bfvr_svc_rejected_total", s->tenant).inc();
-        rej.reason = "journal write failed";
-        flight_.record(obs::FlightSeverity::kError, "journal",
-                       "rejected submit: journal write failed", s->tenant);
-        sendTo(s, rej.encode());
-        return;
-      }
-      journal_live_[id] = rec;
-      if (!sub.idem.empty()) idem_to_job_[sub.idem] = id;
+    if (journal_ != nullptr && !journalAppend(accepted)) {
+      queue_.dropJob(id);
+      return "journal write failed";
     }
-    // The job exists: open its span. The received/admitted/queued stamps
-    // land together — one frame handler performed all three transitions.
-    obs::JobSpan& span = spans_[id];
-    span.trace_id = next_trace_++;
-    span.job = id;
-    span.tenant = s->tenant;
-    span.idem = sub.idem;
-    span.start = uptime_.seconds();
-    span_counts_[s->tenant] += 1;
+    table_.apply(accepted);
+  }
+  // The job exists: open its span.
+  obs::JobSpan& span = spans_[id];
+  span.trace_id = next_trace_++;
+  span.job = id;
+  span.tenant = accepted.tenant;
+  span.idem = accepted.idem;
+  span.start = uptime_.seconds();
+  span_counts_[accepted.tenant] += 1;
+  if (replayed) {
+    replayed_jobs_ += 1;
+    obs::Registry::global()
+        .counter("bfvr_svc_journal_replayed_jobs_total")
+        .inc();
+    if (resumed) {
+      replayed_resumed_ += 1;
+      statsFor(accepted.tenant).resumes += 1;
+      tenantCounter("bfvr_svc_resumes_total", accepted.tenant).inc();
+    }
+    const std::string how =
+        resumed ? "resume from spool snapshot (watermark iter=" +
+                      std::to_string(table_.find(id)->watermark) + ")"
+                : "no snapshot; fresh start";
+    spanEventLocked(id, "replayed", how);
+    flight_.record(obs::FlightSeverity::kInfo, "journal", "replayed: " + how,
+                   accepted.tenant, id);
+    obs::logLine(obs::LogLevel::kInfo, "svc", "replayed from journal: " + how,
+                 accepted.tenant, id);
+  } else {
+    // The received/admitted/queued stamps land together — one frame
+    // handler performed all three transitions.
     spanEventLocked(id, "received", display);
     spanEventLocked(id, "admitted");
-    spanEventLocked(id, "queued");
-    tenantCounter("bfvr_svc_admitted_total", s->tenant).inc();
+    tenantCounter("bfvr_svc_admitted_total", accepted.tenant).inc();
     flight_.record(obs::FlightSeverity::kInfo, "admission",
-                   "admitted " + display, s->tenant, id);
+                   "admitted " + display, accepted.tenant, id);
     obs::logLine(obs::LogLevel::kDebug, "svc", "admitted " + display,
-                 s->tenant, id);
-    Accepted acc;
-    acc.tag = sub.tag;
-    acc.job = id;
-    acc.trace = span.trace_id;
-    sendTo(s, acc.encode());
-    pump();
+                 accepted.tenant, id);
   }
+  spanEventLocked(id, "queued");
+  return std::nullopt;
+}
+
+void Server::finishLocked(RunStatus status, JobDone done,
+                          const std::string& tenant, const std::string& spool,
+                          std::uint64_t owner) {
+  const std::uint64_t id = done.job;
+  done.status = to_string(status);
+  // Write-ahead again: the terminal record must be durable before the
+  // client hears JobDone, so a crash right after the send cannot re-run a
+  // job the client saw finish.
+  JournalRecord rec;
+  rec.event = JournalEvent::kDone;
+  rec.job = id;
+  rec.iteration = done.iterations;
+  rec.status = done.status;
+  rec.message = done.message;
+  rec.states = done.states;
+  rec.seconds = done.seconds;
+  if (journal_ != nullptr) journalAppend(rec);
+  table_.apply(rec);
+  obs::SvcTenantStats& ts = statsFor(tenant);
+  switch (status) {
+    case RunStatus::kDone:
+      ts.done += 1;
+      break;
+    case RunStatus::kTimeOut:
+      ts.timeout += 1;
+      break;
+    case RunStatus::kMemOut:
+      ts.memout += 1;
+      break;
+    case RunStatus::kCancelled:
+      ts.cancelled += 1;
+      break;
+    case RunStatus::kError:
+      ts.error += 1;
+      break;
+    case RunStatus::kInconclusive:
+      ts.inconclusive += 1;
+      break;
+  }
+  ts.queue_seconds += done.queue_seconds;
+  ts.exec_seconds += done.seconds;
+  tenantCounter("bfvr_svc_jobs_finished_total", tenant).inc();
+  // A job that reached a worker names it; one retired from the queue (or
+  // by replay) says why instead.
+  const bool ran = done.attempts > 0;
+  const std::string detail =
+      done.status + (ran ? " worker=" + std::to_string(done.worker)
+                         : " (" + done.message + ")");
+  if (auto sit = spans_.find(id); sit != spans_.end()) {
+    obs::JobSpan& span = sit->second;
+    span.status = done.status;
+    span.evictions = done.evictions;
+    if (ran) span.workers.push_back(done.worker);
+    spanEventLocked(id, "done", detail);
+    finished_spans_.push_back(id);
+    while (finished_spans_.size() > opts_.span_retain) {
+      spans_.erase(finished_spans_.front());
+      finished_spans_.pop_front();
+    }
+  }
+  if (status == RunStatus::kError) {
+    flight_.record(obs::FlightSeverity::kError, "job",
+                   "failed: " + done.message, tenant, id);
+  }
+  obs::logLine(obs::LogLevel::kDebug, "svc", detail, tenant, id);
+  // The job is finished for good: its spool snapshot is garbage now.
+  if (!spool.empty() && spool.rfind(opts_.spool_dir, 0) == 0) {
+    std::remove(spool.c_str());
+  }
+  sendTo(sessionById(owner), done.encode());
+}
+
+void Server::cancelQueuedLocked(const QueuedJob& job, const char* why,
+                                bool notify) {
+  JobDone done;
+  done.job = job.id;
+  done.message = why;
+  done.evictions = job.evictions;
+  finishLocked(RunStatus::kCancelled, std::move(done), job.tenant,
+               job.spec.opts.checkpoint_path, notify ? job.session : 0);
 }
 
 void Server::pump() {
-  while (outstanding_ < pool_.workers()) {
+  while (running_.size() < pool_.workers()) {
     std::optional<QueuedJob> picked = queue_.pick();
     if (!picked.has_value()) return;
     const std::uint64_t id = picked->id;
     Running r;
     r.job = std::move(*picked);
     r.cancel = std::make_shared<run::CancelToken>();
-    r.evict_requested = std::make_shared<std::atomic<bool>>(false);
     run::JobSpec spec = r.job.spec;  // the Running keeps the pristine copy
     const unsigned avoid = r.job.avoid_worker;
     const bool resumed = spec.resume_image != nullptr;
-    // Stream iteration records to the owning session, and — with a
-    // journal — append a checkpoint watermark at the job's snapshot
-    // cadence. The hook runs on the worker thread; it takes only the
-    // session write mutex (inner to mu_), and swallows everything — a
-    // dead client must not disturb the engine. The hook fires *before*
-    // the engine writes the post-iteration snapshot, so a journaled
-    // watermark means "progress reached", not "snapshot durable": replay
-    // always trusts the spool file itself (atomic tmp+rename, so it is
-    // complete whenever it exists), never the watermark.
+    // Stream iteration records to the job's owner, and — with a journal —
+    // append a checkpoint watermark at the job's snapshot cadence. The hook
+    // runs on the worker thread. It looks the owner up under mu_ at every
+    // send, so a client that reattached by key gets the rest of the
+    // stream, sends outside mu_, and swallows everything — a dead client
+    // must not disturb the engine. The hook fires *before* the engine
+    // writes the post-iteration snapshot, so a journaled watermark means
+    // "progress reached", not "snapshot durable": replay always trusts the
+    // spool file itself (atomic tmp+rename, so it is complete whenever it
+    // exists), never the watermark.
     const bool stream = opts_.stream_iterations;
     const bool watermark = journal_ != nullptr &&
                            !spec.opts.checkpoint_path.empty() &&
                            spec.opts.checkpoint_every > 0;
     if (stream || watermark) {
-      const std::uint64_t session_id = r.job.session;
       const unsigned ckpt_every = spec.opts.checkpoint_every;
       // `last_mark` carries the previous iteration's timestamp across hook
       // invocations (one lambda per dispatch, called sequentially on the
       // worker thread), so each observation is one iteration's wall-clock.
       auto last_mark = std::make_shared<double>(uptime_.seconds());
-      spec.opts.on_iteration = [this, id, session_id, last_mark, stream,
-                                watermark,
+      spec.opts.on_iteration = [this, id, last_mark, stream, watermark,
                                 ckpt_every](const obs::IterationRecord& it) {
         const double now_s = uptime_.seconds();
         iterationHistogram().observeSeconds(now_s - *last_mark);
         *last_mark = now_s;
-        if (watermark && it.iteration % ckpt_every == 0) {
-          JournalRecord rec;
-          rec.event = JournalEvent::kCheckpointed;
-          rec.job = id;
-          rec.iteration = it.iteration;
-          journalAppend(rec);
+        JournalRecord mark;
+        const bool marked = watermark && it.iteration % ckpt_every == 0;
+        if (marked) {
+          mark.event = JournalEvent::kCheckpointed;
+          mark.job = id;
+          mark.iteration = it.iteration;
+          journalAppend(mark);
         }
-        // Worker thread: take mu_ only to look the session up (lock order
-        // mu_ -> write_mu, same as everywhere else), send outside it.
         std::shared_ptr<Session> owner;
         {
           const std::lock_guard<std::mutex> lock(mu_);
-          owner = sessionById(session_id);
+          if (marked) table_.apply(mark);
+          if (auto rit = running_.find(id); rit != running_.end()) {
+            owner = sessionById(rit->second.job.session);
+          }
           // Fold the live iteration count into the span's running stamp
           // instead of appending one event per iteration — timelines stay
           // bounded however long the fixpoint runs.
@@ -582,9 +673,9 @@ void Server::pump() {
       rec.event = JournalEvent::kDispatched;
       rec.job = id;
       journalAppend(rec);
+      table_.apply(rec);
     }
     const std::uint64_t session_id = r.job.session;
-    outstanding_ += 1;
     dispatches_ += 1;
     if (auto sit = spans_.find(id); sit != spans_.end()) {
       // Scheduling latency: span open (admission) to this dispatch. A
@@ -609,20 +700,15 @@ void Server::pump() {
     pool_.submit(
         std::move(spec), cancel,
         [this, id](const run::JobResult& res) { onJobDone(id, res); }, avoid);
-    if (std::shared_ptr<Session> owner = sessionById(session_id);
-        owner != nullptr) {
-      JobStarted started;
-      started.job = id;
-      started.resumed = resumed;
-      sendTo(owner, started.encode());
-    }
+    JobStarted started;
+    started.job = id;
+    started.resumed = resumed;
+    sendTo(sessionById(session_id), started.encode());
   }
 }
 
 void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
   // Runs on the worker thread, right before the job's future is fulfilled.
-  std::shared_ptr<Session> owner;
-  Frame out;
   // Flight dump triggers, resolved under mu_ and acted on after it: a
   // failed job or an injected worker fault is post-mortem material.
   std::string dump_reason;
@@ -637,8 +723,6 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
     Running rec = std::move(it->second);
     running_.erase(it);
     queue_.release(rec.job.tenant);
-    outstanding_ -= 1;
-    owner = sessionById(rec.job.session);
     if (faults_injected != 0) {
       flight_.record(obs::FlightSeverity::kError, "fault",
                      "worker " + std::to_string(r.worker) + " injected " +
@@ -652,12 +736,11 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
                          "final status " + to_string(r.status),
                      rec.job.tenant, id);
     }
-    const bool evicting =
-        rec.evict_requested->load(std::memory_order_relaxed) &&
-        r.status == RunStatus::kCancelled && !draining_;
+    const bool evicting = rec.evict_requested &&
+                          r.status == RunStatus::kCancelled && !draining_;
     // A running job cancelled by an *immediate shutdown* under a journal
-    // is not terminal — it stays non-terminal in the log (with its spool
-    // snapshot intact) and replays on the next start. Only explicit
+    // is not terminal — it stays live in the table and the log (with its
+    // spool snapshot intact) and replays on the next start. Only explicit
     // client cancels and real completions retire a journaled job.
     const bool preserved = !evicting && journal_ != nullptr &&
                            shutdown_requested_ && !shutdown_drain_ &&
@@ -711,51 +794,14 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
       ev.job = id;
       ev.iteration = r.reach.iterations;
       ev.worker = r.worker;
-      out = ev.encode();
+      sendTo(sessionById(again.session), ev.encode());
       queue_.requeueFront(std::move(again));
     } else {
-      obs::SvcTenantStats& ts = statsFor(rec.job.tenant);
-      switch (r.status) {
-        case RunStatus::kDone:
-          ts.done += 1;
-          break;
-        case RunStatus::kTimeOut:
-          ts.timeout += 1;
-          break;
-        case RunStatus::kMemOut:
-          ts.memout += 1;
-          break;
-        case RunStatus::kCancelled:
-          ts.cancelled += 1;
-          break;
-        case RunStatus::kError:
-          ts.error += 1;
-          break;
-        case RunStatus::kInconclusive:
-          ts.inconclusive += 1;
-          break;
-      }
-      ts.queue_seconds += r.queue_seconds;
-      ts.exec_seconds += r.seconds;
-      const std::string status = to_string(r.status);
-      tenantCounter("bfvr_svc_jobs_finished_total", rec.job.tenant).inc();
-      finishSpanLocked(id, status, r.worker, rec.job.evictions);
-      if (r.status == RunStatus::kError) {
-        flight_.record(obs::FlightSeverity::kError, "job",
-                       "failed: " + r.message, rec.job.tenant, id);
-        if (dump_reason.empty()) dump_reason = "job-error";
-      }
-      obs::logLine(obs::LogLevel::kDebug, "svc",
-                   status + " on worker " + std::to_string(r.worker),
-                   rec.job.tenant, id);
-      // The job is finished for good: its spool snapshot is garbage now.
-      if (!rec.job.spec.opts.checkpoint_path.empty() &&
-          rec.job.spec.opts.checkpoint_path.rfind(opts_.spool_dir, 0) == 0) {
-        std::remove(rec.job.spec.opts.checkpoint_path.c_str());
+      if (r.status == RunStatus::kError && dump_reason.empty()) {
+        dump_reason = "job-error";
       }
       JobDone done;
       done.job = id;
-      done.status = to_string(r.status);
       done.message = r.message;
       done.seconds = r.seconds;
       done.queue_seconds = r.queue_seconds;
@@ -767,25 +813,9 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
       done.evictions = rec.job.evictions;
       done.resumed = rec.job.spec.resume_image != nullptr ||
                      (!r.attempts.empty() && r.attempts.back().resumed);
-      if (journal_ != nullptr) {
-        // Write-ahead again: the terminal record must be durable before
-        // the client hears JobDone, so a crash right after the send
-        // cannot re-run a job the client saw finish.
-        JournalRecord jrec;
-        jrec.event = JournalEvent::kDone;
-        jrec.job = id;
-        jrec.iteration = r.reach.iterations;
-        jrec.status = done.status;
-        jrec.message = done.message;
-        jrec.states = done.states;
-        jrec.seconds = done.seconds;
-        journalAppend(jrec);
-        journal_live_.erase(id);
-        done_cache_[id] = done;
-      }
-      out = done.encode();
+      finishLocked(r.status, std::move(done), rec.job.tenant,
+                   rec.job.spec.opts.checkpoint_path, rec.job.session);
     }
-    if (!preserved && owner != nullptr) sendTo(owner, out);
     pump();
   }
   if (!dump_reason.empty()) dumpFlight(dump_reason);
@@ -793,6 +823,7 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
 }
 
 void Server::sendTo(const std::shared_ptr<Session>& s, const Frame& f) {
+  if (s == nullptr) return;
   const std::lock_guard<std::mutex> lock(s->write_mu);
   if (!s->alive.load(std::memory_order_relaxed)) return;
   try {
@@ -805,8 +836,6 @@ void Server::sendTo(const std::shared_ptr<Session>& s, const Frame& f) {
 }
 
 std::shared_ptr<Server::Session> Server::sessionById(std::uint64_t id) {
-  // Callers either hold mu_ already or race benignly with teardown (the
-  // shared_ptr keeps the session alive; `alive` gates actual sends).
   auto it = sessions_.find(id);
   return it != sessions_.end() ? it->second : nullptr;
 }
@@ -829,128 +858,28 @@ std::string Server::spoolPathFor(std::uint64_t job_id) const {
 }
 
 void Server::replayJournal() {
-  // Constructor context: no sessions, no workers running, mu_ not needed.
-  // Fold the log into per-job state — last transition wins.
-  struct State {
-    const JournalRecord* accepted = nullptr;
-    const JournalRecord* done = nullptr;
-    std::uint64_t last_checkpoint = 0;
-  };
-  std::map<std::uint64_t, State> by_job;
-  for (const JournalRecord& rec : journal_->replayed()) {
-    State& st = by_job[rec.job];
-    switch (rec.event) {
-      case JournalEvent::kAccepted:
-        st.accepted = &rec;
-        break;
-      case JournalEvent::kDispatched:
-        break;
-      case JournalEvent::kCheckpointed:
-        st.last_checkpoint = rec.iteration;
-        break;
-      case JournalEvent::kDone:
-        st.done = &rec;
-        break;
-    }
-    if (rec.job >= next_job_) next_job_ = rec.job + 1;
-  }
-  obs::Counter& replayed_ctr =
-      obs::Registry::global().counter("bfvr_svc_journal_replayed_jobs_total");
-  for (const auto& [id, st] : by_job) {
-    if (st.accepted == nullptr) continue;  // compacted remnant; nothing to do
-    if (st.done != nullptr) {
-      // Terminal: remember the result so a duplicate submission after the
-      // crash gets the original answer instead of a re-execution.
-      replayed_terminal_ += 1;
-      JobDone done;
-      done.job = id;
-      done.status = st.done->status;
-      done.message = st.done->message;
-      done.iterations = st.done->iteration;
-      done.states = st.done->states;
-      done.seconds = st.done->seconds;
-      done_cache_[id] = std::move(done);
-      if (!st.accepted->idem.empty()) idem_to_job_[st.accepted->idem] = id;
-      continue;
-    }
-    // Non-terminal: rebuild the job from its journaled manifest line and
-    // re-enqueue, resuming from the spool snapshot when one exists (the
-    // snapshot is trustworthy whenever present: io::save is atomic).
-    QueuedJob job;
-    job.id = id;
-    job.session = 0;  // detached until a client reattaches via idem
-    job.tenant = st.accepted->tenant;
-    job.idem = st.accepted->idem;
-    std::string fail;
-    try {
-      std::vector<run::ManifestEntry> entries =
-          run::parseManifestString(st.accepted->line);
-      if (entries.size() != 1 || !entries[0].portfolio.empty()) {
-        throw std::invalid_argument("journaled line is not one plain job");
-      }
-      job.spec = std::move(entries[0].spec);
-    } catch (const std::exception& e) {
-      fail = e.what();
-    }
-    if (fail.empty()) {
-      if (job.spec.opts.checkpoint_path.empty() &&
-          opts_.checkpoint_every > 0) {
-        job.spec.opts.checkpoint_every = opts_.checkpoint_every;
-        job.spec.opts.checkpoint_path = spoolPathFor(id);
-      }
-      if (!job.spec.opts.checkpoint_path.empty()) {
-        job.spec.resume_image = slurpSpool(job.spec.opts.checkpoint_path);
-      }
-      if (std::optional<std::string> reason = queue_.admit(job);
-          reason.has_value()) {
-        fail = *reason;
-      }
-    }
-    if (!fail.empty()) {
-      // Cannot be re-run (manifest no longer parses, tenant caps shrank,
-      // ...): retire it in the journal so it stops replaying forever.
-      obs::logLine(obs::LogLevel::kError, "svc",
-                   "journal replay failed for job " + std::to_string(id) +
-                       ": " + fail,
-                   job.tenant, id);
-      JournalRecord rec;
-      rec.event = JournalEvent::kDone;
-      rec.job = id;
-      rec.status = to_string(RunStatus::kError);
-      rec.message = "replay failed: " + fail;
-      journalAppend(rec);
-      continue;
-    }
-    const bool resumed = job.spec.resume_image != nullptr;
-    replayed_jobs_ += 1;
-    replayed_ctr.inc();
-    if (resumed) {
-      replayed_resumed_ += 1;
-      statsFor(job.tenant).resumes += 1;
-      tenantCounter("bfvr_svc_resumes_total", job.tenant).inc();
-    }
-    journal_live_[id] = *st.accepted;
-    if (!job.idem.empty()) idem_to_job_[job.idem] = id;
-    obs::JobSpan& span = spans_[id];
-    span.trace_id = next_trace_++;
-    span.job = id;
-    span.tenant = job.tenant;
-    span.idem = job.idem;
-    span.start = uptime_.seconds();
-    span_counts_[job.tenant] += 1;
-    spanEventLocked(id, "replayed",
-                    resumed ? "resume from spool snapshot (watermark iter=" +
-                                  std::to_string(st.last_checkpoint) + ")"
-                            : "no snapshot; fresh start");
-    spanEventLocked(id, "queued");
-    flight_.record(obs::FlightSeverity::kInfo, "journal",
-                   resumed ? "replayed; resuming from spool snapshot"
-                           : "replayed; no snapshot, restarting",
-                   job.tenant, id);
-    obs::logLine(obs::LogLevel::kInfo, "svc",
-                 std::string("replayed from journal (") +
-                     (resumed ? "resume" : "fresh") + ")",
-                 job.tenant, id);
+  // Constructor context: no session or worker exists yet; mu_ is taken
+  // because the admission and terminal paths expect it held.
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const JournalRecord& rec : journal_->replayed()) table_.apply(rec);
+  replayed_terminal_ = table_.terminalCount();
+  // Re-admit every live job, detached (session 0) until a client
+  // reattaches by key.
+  for (const JournalRecord& accepted : table_.live()) {
+    const std::optional<std::string> fail = admitLocked(accepted, 0, true);
+    if (!fail.has_value()) continue;
+    // Cannot be re-run (the line no longer parses, the tenant's queue cap
+    // shrank, ...): retire it, key and answer kept, so it stops replaying
+    // and a resubmission under its key gets this answer.
+    obs::logLine(obs::LogLevel::kError, "svc",
+                 "journal replay failed for job " +
+                     std::to_string(accepted.job) + ": " + *fail,
+                 accepted.tenant, accepted.job);
+    JobDone done;
+    done.job = accepted.job;
+    done.message = "replay failed: " + *fail;
+    finishLocked(RunStatus::kError, std::move(done), accepted.tenant,
+                 spoolPathFor(accepted.job), 0);
   }
   const JournalStats js = journal_->stats();
   if (js.torn_bytes > 0) {
@@ -983,9 +912,7 @@ bool Server::journalAppend(const JournalRecord& rec) noexcept {
 
 void Server::finishJournalLocked() {
   if (opts_.journal_compact_on_shutdown) {
-    std::vector<JournalRecord> keep;
-    keep.reserve(journal_live_.size());
-    for (const auto& [id, rec] : journal_live_) keep.push_back(rec);
+    const std::vector<JournalRecord> keep = table_.live();
     try {
       journal_->compact(keep);
       obs::logLine(obs::LogLevel::kInfo, "svc",
@@ -1012,15 +939,11 @@ void Server::finishJournalLocked() {
       .add("torn_bytes", js.torn_bytes)
       .add("compactions", js.compactions)
       .add("live_at_shutdown",
-           static_cast<std::uint64_t>(journal_live_.size()));
+           static_cast<std::uint64_t>(table_.liveCount()));
   const std::string path =
       opts_.journal_dir + "/JOURNAL_" + opts_.name + ".json";
-  std::ofstream out(path);
-  if (out) {
-    out << o.str() << "\n";
+  if (writeFile(path, o.str() + "\n")) {
     obs::logLine(obs::LogLevel::kInfo, "svc", "wrote " + path);
-  } else {
-    obs::logLine(obs::LogLevel::kError, "svc", "cannot write " + path);
   }
 }
 
@@ -1053,22 +976,6 @@ void Server::spanEventLocked(std::uint64_t id, const char* what,
   it->second.events.push_back(std::move(ev));
 }
 
-void Server::finishSpanLocked(std::uint64_t id, const std::string& status,
-                              unsigned worker, unsigned evictions) {
-  auto it = spans_.find(id);
-  if (it == spans_.end()) return;
-  obs::JobSpan& span = it->second;
-  span.status = status;
-  span.evictions = evictions;
-  span.workers.push_back(worker);
-  spanEventLocked(id, "done", statusDetail(status, worker));
-  finished_spans_.push_back(id);
-  while (finished_spans_.size() > opts_.span_retain) {
-    spans_.erase(finished_spans_.front());
-    finished_spans_.pop_front();
-  }
-}
-
 void Server::sampleGaugesLocked() const {
   obs::Registry& reg = obs::Registry::global();
   reg.gauge("bfvr_svc_queue_depth").set(
@@ -1097,7 +1004,7 @@ void Server::sampleGaugesLocked() const {
     reg.gauge("bfvr_journal_torn_bytes")
         .set(static_cast<std::int64_t>(js.torn_bytes));
     reg.gauge("bfvr_journal_live_jobs")
-        .set(static_cast<std::int64_t>(journal_live_.size()));
+        .set(static_cast<std::int64_t>(table_.liveCount()));
   }
 }
 
@@ -1177,22 +1084,8 @@ void Server::metricsLoop() {
 
 void Server::writeMetricsFiles() const {
   const std::string base = opts_.metrics_dir + "/METRICS_" + opts_.name;
-  {
-    std::ofstream out(base + ".prom");
-    if (out) {
-      out << obs::Registry::global().text();
-    } else {
-      obs::logLine(obs::LogLevel::kError, "svc",
-                   "cannot write " + base + ".prom");
-    }
-  }
-  std::ofstream out(base + ".json");
-  if (out) {
-    out << obs::Registry::global().json();
-  } else {
-    obs::logLine(obs::LogLevel::kError, "svc",
-                 "cannot write " + base + ".json");
-  }
+  writeFile(base + ".prom", obs::Registry::global().text());
+  writeFile(base + ".json", obs::Registry::global().json());
 }
 
 void Server::dumpFlight(const std::string& reason) const {

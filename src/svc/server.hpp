@@ -2,11 +2,16 @@
 // on a Unix-domain or TCP endpoint, runs submitted jobs on a warm
 // run::WorkerPool, and streams progress back to the owning session.
 //
+// Jobs: every job lives in one JobTable (jobs.hpp), fed by the same
+// apply() live and at journal replay. admitLocked() puts a job into
+// service, for a Submit and a replayed job alike; finishLocked() is every
+// terminal transition (completion, cancel, drop, replay failure).
+//
 // Scheduling: submissions pass admission control (per-tenant budget clamps
 // and queue caps) into the FairQueue; the server dispatches to the pool
 // only when a worker slot is free — at most `workers` jobs are ever
-// outstanding in the pool, so the pool's FIFO never reorders the fair
-// queue's smooth-WRR schedule.
+// running in the pool, so the pool's FIFO never reorders the fair queue's
+// smooth-WRR schedule.
 //
 // Eviction/migration: every admitted job checkpoints to a per-job spool
 // file; an Evict request cancels the running job cooperatively, and its
@@ -15,9 +20,9 @@
 // from the worker it ran on, and announces JobEvicted. The resumed run is
 // bit-identical to an uninterrupted one (io checkpoint contract).
 //
-// Locking: mu_ guards all scheduling state; each session's write mutex is
-// strictly inner to mu_ (frames may be sent while holding mu_, but mu_ is
-// never taken while holding a write mutex).
+// Locking: mu_ guards all scheduling state and the job table; each
+// session's write mutex is strictly inner to mu_ (frames may be sent while
+// holding mu_, but mu_ is never taken while holding a write mutex).
 #pragma once
 
 #include <atomic>
@@ -27,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +40,7 @@
 #include "obs/flight.hpp"
 #include "obs/report.hpp"
 #include "run/run.hpp"
+#include "svc/jobs.hpp"
 #include "svc/journal.hpp"
 #include "svc/protocol.hpp"
 #include "svc/queue.hpp"
@@ -84,9 +91,9 @@ class Server {
     /// journal — crash forgets everything, exactly the pre-journal
     /// behaviour). With a journal, accepted jobs survive kill -9: on the
     /// next start the log is replayed, non-terminal jobs re-enqueue
-    /// (resuming from their spool checkpoint when one exists) and
-    /// duplicate submissions keyed by Submit.idem are answered from the
-    /// journal instead of executing twice.
+    /// (resuming from their spool checkpoint when one exists) and a
+    /// tenant's duplicate submissions keyed by Submit.idem are answered
+    /// from the journal instead of executing twice.
     std::string journal_dir;
     /// When journal appends reach the disk (--fsync grammar).
     FsyncPolicy journal_fsync = FsyncPolicy::kBatch;
@@ -165,8 +172,7 @@ class Server {
   struct Running {
     QueuedJob job;  ///< full queued record, for requeue-after-eviction
     std::shared_ptr<run::CancelToken> cancel;
-    std::shared_ptr<std::atomic<bool>> evict_requested;
-    unsigned worker_hint = 0;  ///< filled by JobResult on completion
+    bool evict_requested = false;  ///< an Evict frame caused the cancel
   };
 
   void acceptLoop();
@@ -174,19 +180,35 @@ class Server {
   /// Handle one client frame; returns false when the session should end.
   bool handleFrame(const std::shared_ptr<Session>& s, const Frame& f);
   void handleSubmit(const std::shared_ptr<Session>& s, const Frame& f);
+  /// The one admission path: parse the line, wire the spool checkpoint,
+  /// admit to the fair queue for `session`, open the span. A fresh job
+  /// writes `accepted` ahead and applies it; a `replayed` one is already in
+  /// the table and resumes from its spool snapshot. Returns the refusal
+  /// reason, or nullopt once queued. Caller holds mu_.
+  std::optional<std::string> admitLocked(const JournalRecord& accepted,
+                                         std::uint64_t session, bool replayed);
+  /// The one terminal path: write the `done` record ahead, apply it, count
+  /// it, close the span, remove the spool snapshot, send JobDone to
+  /// session `owner` (0 = nobody). Caller holds mu_.
+  void finishLocked(RunStatus status, JobDone done, const std::string& tenant,
+                    const std::string& spool, std::uint64_t owner);
+  /// finishLocked() as `cancelled` for a job taken off the queue; its
+  /// owner hears JobDone only when `notify`. Caller holds mu_.
+  void cancelQueuedLocked(const QueuedJob& job, const char* why, bool notify);
   /// Dispatch queued jobs while worker slots are free. Caller holds mu_.
   void pump();
   /// Worker-thread completion handler for job `id`.
   void onJobDone(std::uint64_t id, const run::JobResult& r);
-  /// Send a frame to a session, marking it dead on failure. Safe to call
-  /// with or without mu_ held (takes only the session's write mutex).
+  /// Send a frame to a session (nullptr: nobody), marking it dead on
+  /// failure. Safe to call with or without mu_ held (takes only the
+  /// session's write mutex).
   void sendTo(const std::shared_ptr<Session>& s, const Frame& f);
+  /// The live session `id`, or nullptr. Caller holds mu_.
   std::shared_ptr<Session> sessionById(std::uint64_t id);
   obs::SvcTenantStats& statsFor(const std::string& tenant);
   std::string spoolPathFor(std::uint64_t job_id) const;
-  /// Re-enqueue every non-terminal journaled job and remember terminal
-  /// ones for idempotent replay. Runs in the constructor, before any
-  /// session exists.
+  /// Apply every recovered record, then re-admit the live jobs (retiring
+  /// any that cannot be). Runs in the constructor, before any session.
   void replayJournal();
   /// Append to the journal, absorbing write failures into a log line and
   /// a counter (worker threads and frame handlers must not die on a full
@@ -199,10 +221,6 @@ class Server {
   /// Stamp one event on job `id`'s span timeline. Caller holds mu_.
   void spanEventLocked(std::uint64_t id, const char* what,
                        std::string detail = "");
-  /// Close job `id`'s span with its terminal status and trim the retained
-  /// set to span_retain. Caller holds mu_.
-  void finishSpanLocked(std::uint64_t id, const std::string& status,
-                        unsigned worker, unsigned evictions);
   /// Refresh the sampled gauges (queue depth, running, sessions, warm
   /// cache) from current scheduler state. Caller holds mu_.
   void sampleGaugesLocked() const;
@@ -222,10 +240,9 @@ class Server {
   FairQueue queue_;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::map<std::uint64_t, Running> running_;
+  JobTable table_;
   std::uint64_t next_session_ = 1;
-  std::uint64_t next_job_ = 1;
-  unsigned outstanding_ = 0;  ///< jobs handed to the pool, not yet done
-  bool draining_ = false;     ///< reject new submissions
+  bool draining_ = false;  ///< reject new submissions
   bool shutdown_requested_ = false;
   bool shutdown_drain_ = true;
   bool stopped_ = false;
@@ -235,13 +252,6 @@ class Server {
 
   // Durability state (populated only when opts_.journal_dir is set).
   std::unique_ptr<Journal> journal_;
-  /// idempotency key -> server job id, spanning this process's accepts
-  /// and everything replayed from the journal.
-  std::map<std::string, std::uint64_t> idem_to_job_;
-  /// Terminal results remembered for duplicate submissions (by job id).
-  std::map<std::uint64_t, JobDone> done_cache_;
-  /// Accepted-records of jobs not yet terminal — the compaction set.
-  std::map<std::uint64_t, JournalRecord> journal_live_;
   std::uint64_t replayed_jobs_ = 0;
   std::uint64_t replayed_resumed_ = 0;
   std::uint64_t replayed_terminal_ = 0;

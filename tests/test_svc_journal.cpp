@@ -7,9 +7,12 @@
 // atomically; then the server-level contract over a real socket: lifecycle
 // records land in the log, clean shutdown compacts terminal jobs away,
 // duplicate idempotency keys are answered from the journal without
-// re-executing, and an immediate shutdown (the in-process stand-in for a
-// crash) preserves accepted jobs so a restarted server resumes them from
-// their spool checkpoint bit-identically.
+// re-executing (keys are scoped per tenant, and a client that reattaches by
+// key to a running job receives the rest of its progress stream), a job
+// replay cannot re-admit is retired under its key, and an immediate
+// shutdown (the in-process stand-in for a crash) preserves accepted jobs so
+// a restarted server resumes them from their spool checkpoint
+// bit-identically.
 //
 // SvcDeadline: the idle reaper closes silent sessions, a slow-loris
 // partial frame trips the frame deadline instead of pinning a session
@@ -443,6 +446,146 @@ TEST(SvcJournal, RestartAnswersTerminalJobsFromTheJournal) {
   }
   EXPECT_EQ(server.dedupHits(), 1u);
   EXPECT_TRUE(server.dispatchLog().empty());
+  server.requestShutdown(true);
+  server.waitStopped();
+}
+
+TEST(SvcJournal, IdempotencyKeysAreScopedPerTenant) {
+  const std::string sock = sockPath("jtenkey");
+  const std::string dir = journalDir("jtenkey");
+  Server::Options opts = baseOptions(sock);
+  opts.journal_dir = dir;
+  Server server(opts);
+  server.start();
+  // Two tenants run their batches under the same key (both clients use
+  // `--idem batch`): they are two jobs, and each gets its own answer.
+  JobDone alpha_done, bravo_done;
+  {
+    Client alpha("unix:" + sock, "alpha");
+    const std::uint64_t tag = alpha.submit("circuit=gen:counter:4:10", "batch");
+    std::optional<std::uint64_t> job = alpha.awaitAdmission(tag);
+    ASSERT_TRUE(job.has_value());
+    alpha_done = alpha.awaitDone(*job);
+    alpha.bye();
+  }
+  {
+    Client bravo("unix:" + sock, "bravo");
+    const std::uint64_t tag = bravo.submit("circuit=gen:counter:3:4", "batch");
+    std::optional<std::uint64_t> job = bravo.awaitAdmission(tag);
+    ASSERT_TRUE(job.has_value());
+    bravo_done = bravo.awaitDone(*job);
+    bravo.bye();
+  }
+  EXPECT_NE(alpha_done.job, bravo_done.job);
+  EXPECT_EQ(alpha_done.status, "done");
+  EXPECT_EQ(bravo_done.status, "done");
+  EXPECT_DOUBLE_EQ(alpha_done.states, 10.0);
+  EXPECT_DOUBLE_EQ(bravo_done.states, 4.0);
+  EXPECT_EQ(server.dedupHits(), 0u);
+  EXPECT_EQ(server.dispatchLog().size(), 2u);
+  server.requestShutdown(true);
+  server.waitStopped();
+}
+
+TEST(SvcJournal, JobReplayCannotReadmitKeepsItsKey) {
+  const std::string sock = sockPath("jbadline");
+  const std::string dir = journalDir("jbadline");
+  {
+    // A journaled job whose line no longer parses (say, the key was
+    // retired by a newer build).
+    Journal j(dir, FsyncPolicy::kNever);
+    JournalRecord rec = acceptedRec(7, "bad-1");
+    rec.line = "circuit=gen:counter:4:10 nosuchkey=1";
+    j.append(rec);
+  }
+  Server::Options opts = baseOptions(sock);
+  opts.journal_dir = dir;
+  opts.journal_compact_on_shutdown = false;  // keep the log to audit it
+  {
+    Server server(opts);
+    EXPECT_EQ(server.replayedJobs(), 0u);
+    server.start();
+    {
+      // The client retries its row under the same key: the answer is the
+      // retired job's, not a second execution.
+      Client client("unix:" + sock, "alpha");
+      const std::uint64_t tag =
+          client.submit("circuit=gen:counter:4:10", "bad-1");
+      std::optional<std::uint64_t> job = client.awaitAdmission(tag);
+      ASSERT_TRUE(job.has_value());
+      EXPECT_EQ(*job, 7u);
+      const JobDone done = client.awaitDone(*job);
+      EXPECT_EQ(done.status, "error");
+      EXPECT_NE(done.message.find("replay failed"), std::string::npos);
+      client.bye();
+    }
+    EXPECT_TRUE(server.dispatchLog().empty());
+    EXPECT_EQ(server.dedupHits(), 1u);
+    server.requestShutdown(true);
+    server.waitStopped();
+  }
+  // The log holds the key under one id, terminal exactly once.
+  Journal j(dir, FsyncPolicy::kNever);
+  std::map<std::uint64_t, unsigned> accepted_under_key, done_records;
+  for (const JournalRecord& r : j.replayed()) {
+    if (r.event == JournalEvent::kAccepted && r.idem == "bad-1") {
+      accepted_under_key[r.job] += 1;
+    }
+    if (r.event == JournalEvent::kDone) done_records[r.job] += 1;
+  }
+  ASSERT_EQ(accepted_under_key.size(), 1u);
+  EXPECT_EQ(accepted_under_key.begin()->first, 7u);
+  EXPECT_EQ(accepted_under_key.begin()->second, 1u);
+  EXPECT_EQ(done_records[7], 1u);
+}
+
+TEST(SvcJournal, ReattachedSessionReceivesLaterIterationUpdates) {
+  const std::string sock = sockPath("jreatt");
+  const std::string dir = journalDir("jreatt");
+  Server::Options opts = baseOptions(sock);
+  opts.journal_dir = dir;
+  Server server(opts);
+  server.start();
+  const std::string line = "circuit=gen:counter:20:1000000 deadline=5";
+  std::uint64_t job = 0;
+  {
+    // The first client watches the job for a while, then goes away; with
+    // a journal the job keeps running, detached.
+    Client first("unix:" + sock, "alpha");
+    const std::uint64_t tag = first.submit(line, "watch-1");
+    std::optional<std::uint64_t> admitted = first.awaitAdmission(tag);
+    ASSERT_TRUE(admitted.has_value());
+    job = *admitted;
+    for (unsigned updates = 0; updates < 2;) {
+      std::optional<Event> ev = first.next();
+      ASSERT_TRUE(ev.has_value());
+      if (const auto* u = std::get_if<IterationUpdate>(&*ev)) {
+        if (u->job == job) ++updates;
+      }
+    }
+    first.bye();
+  }
+  // A new session takes the job over by key; the progress stream must
+  // follow it there well before the job's deadline.
+  Client second("unix:" + sock, "alpha");
+  const std::uint64_t tag = second.submit(line, "watch-1");
+  std::optional<std::uint64_t> again = second.awaitAdmission(tag);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(*again, job);
+  bool updated = false;
+  while (!updated) {
+    std::optional<Event> ev = second.next();
+    ASSERT_TRUE(ev.has_value());
+    if (const auto* u = std::get_if<IterationUpdate>(&*ev)) {
+      updated = u->job == job;
+    } else if (std::get_if<JobDone>(&*ev) != nullptr) {
+      FAIL() << "JobDone before any IterationUpdate reached the new session";
+    }
+  }
+  second.cancel(job);
+  EXPECT_EQ(second.awaitDone(job).status, "cancelled");
+  second.bye();
+  EXPECT_EQ(server.dedupHits(), 1u);
   server.requestShutdown(true);
   server.waitStopped();
 }

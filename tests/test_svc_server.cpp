@@ -9,11 +9,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "run/run.hpp"
 #include "support/process_dir.hpp"
 #include "svc/client.hpp"
@@ -26,6 +28,23 @@ namespace {
 std::string sockPath(const char* tag) {
   return "/tmp/bfvr_" + std::string(tag) + "_" +
          std::to_string(::getpid()) + ".sock";
+}
+
+/// bfvr_svc_jobs_finished_total for `tenant` (the registry is global, so
+/// tests compare differences).
+std::uint64_t jobsFinished(const std::string& tenant) {
+  return obs::Registry::global()
+      .counter("bfvr_svc_jobs_finished_total",
+               obs::metricLabel("tenant", tenant))
+      .value();
+}
+
+/// The retained span of job `id` (a default span when there is none).
+obs::JobSpan spanOf(const Server& server, std::uint64_t id) {
+  for (const obs::JobSpan& span : server.spans()) {
+    if (span.job == id) return span;
+  }
+  return obs::JobSpan{};
 }
 
 Server::Options baseOptions(const std::string& sock) {
@@ -133,6 +152,7 @@ TEST(SvcServer, CancelQueuedJob) {
   opts.stream_iterations = false;
   Server server(opts);
   server.start();
+  const std::uint64_t finished_before = jobsFinished("alpha");
   {
     Client client("unix:" + sock, "alpha");
     // Plug the single worker with a job far too big to finish before the
@@ -148,12 +168,54 @@ TEST(SvcServer, CancelQueuedJob) {
     const JobDone done = client.awaitDone(*queued);
     EXPECT_EQ(done.status, "cancelled");
     EXPECT_NE(done.message.find("queued"), std::string::npos);
+    // The cancelled job's span is closed like any finished one: terminal
+    // status, a closing "done" stamp, and no worker (it never ran).
+    const obs::JobSpan span = spanOf(server, *queued);
+    EXPECT_EQ(span.status, "cancelled");
+    ASSERT_FALSE(span.events.empty());
+    EXPECT_EQ(span.events.back().what, "done");
+    EXPECT_TRUE(span.workers.empty());
     client.cancel(*plug);  // running-job cancel: via the interrupt hook
     EXPECT_EQ(client.awaitDone(*plug).status, "cancelled");
     client.bye();
   }
+  // Both cancels count as finished jobs.
+  EXPECT_EQ(jobsFinished("alpha") - finished_before, 2u);
   server.requestShutdown(true);
   server.waitStopped();
+}
+
+TEST(SvcServer, QueuedJobsDroppedWithTheirSessionFinishCancelled) {
+  const std::string sock = sockPath("dropq");
+  Server::Options opts = baseOptions(sock);
+  opts.workers = 1;  // one worker: the second submission must queue
+  opts.stream_iterations = false;
+  Server server(opts);
+  server.start();
+  const std::uint64_t finished_before = jobsFinished("bravo");
+  std::uint64_t queued_id = 0;
+  {
+    Client client("unix:" + sock, "bravo");
+    const std::uint64_t plug_tag =
+        client.submit("circuit=gen:counter:20:1000000 deadline=10");
+    ASSERT_TRUE(client.awaitAdmission(plug_tag).has_value());
+    const std::uint64_t tag = client.submit("circuit=gen:counter:4:10");
+    std::optional<std::uint64_t> queued = client.awaitAdmission(tag);
+    ASSERT_TRUE(queued.has_value());
+    queued_id = *queued;
+    // Drop the connection: without a journal the queued job goes with it.
+  }
+  for (int i = 0; i < 500 && spanOf(server, queued_id).status.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const obs::JobSpan span = spanOf(server, queued_id);
+  EXPECT_EQ(span.status, "cancelled");
+  ASSERT_FALSE(span.events.empty());
+  EXPECT_EQ(span.events.back().what, "done");
+  server.requestShutdown(true);
+  server.waitStopped();
+  // The queued job and the cancelled plug both finished.
+  EXPECT_EQ(jobsFinished("bravo") - finished_before, 2u);
 }
 
 TEST(SvcServer, EvictionMigratesAndResumesBitIdentical) {

@@ -10,8 +10,10 @@ to it, crashes included:
     (no lost jobs, no double execution across a kill -9 + restart);
   * no `done`, `dispatched` or `checkpointed` record references a job
     that was never accepted;
-  * no idempotency key maps to more than one job id (a duplicated Submit
-    must be deduplicated, never re-admitted under a fresh id);
+  * no idempotency key maps to more than one job id within its tenant (a
+    duplicated Submit must be deduplicated, never re-admitted under a
+    fresh id; keys are scoped per tenant, so two tenants may each use one
+    key for a job of their own);
   * every record frame is well-formed (magic, version, event, CRC); a
     torn tail is tolerated and reported, torn *middles* are not.
 
@@ -110,13 +112,14 @@ def main():
     accepted = {}   # job -> accepted record
     done = {}       # job -> [done records]
     orphans = []    # non-accepted events with no accepted job
-    idem_to_jobs = {}
+    idem_to_jobs = {}  # (tenant, key) -> job ids
     for rec in records:
         job = rec["job"]
         if rec["event"] == "accepted":
             accepted[job] = rec
             if rec["idem"]:
-                idem_to_jobs.setdefault(rec["idem"], set()).add(job)
+                idem_to_jobs.setdefault((rec["tenant"], rec["idem"]),
+                                        set()).add(job)
         else:
             if job not in accepted:
                 orphans.append(rec)
@@ -134,11 +137,11 @@ def main():
         failures.append(
             f"{rec['event']} record for job {rec['job']} with no accepted "
             "record")
-    for idem, jobs in sorted(idem_to_jobs.items()):
+    for (tenant, idem), jobs in sorted(idem_to_jobs.items()):
         if len(jobs) > 1:
             failures.append(
-                f"idempotency key {idem!r} admitted as {len(jobs)} distinct "
-                f"jobs: {sorted(jobs)}")
+                f"idempotency key {idem!r} of tenant {tenant!r} admitted as "
+                f"{len(jobs)} distinct jobs: {sorted(jobs)}")
     if args.expect_jobs and len(accepted) != args.expect_jobs:
         failures.append(
             f"{len(accepted)} accepted job(s), expected {args.expect_jobs}")

@@ -6,7 +6,8 @@
 # counters, is SIGKILLed mid-run, restarts over the same journal, and the
 # clients (reconnecting under their idempotency keys) finish the batch.
 # tools/journal_check.py then audits the un-compacted journal: every
-# accepted job terminal exactly once, no idempotency key admitted twice.
+# accepted job terminal exactly once, no tenant's idempotency key admitted
+# twice.
 #
 # Phase B — chaos-proxy soak: the same server behind tools/chaos_proxy.py
 # (seeded torn frames, mid-frame stalls, connection drops, duplicated
