@@ -21,7 +21,7 @@ Row runOrder(const circuit::Netlist& n,
              const std::vector<circuit::ObjRef>& order, bool trace) {
   bdd::Manager m(0);
   sym::StateSpace s(m, n, order);
-  reach::ReachOptions opts;
+  reach::ReachOptions opts = paperOptions();
   opts.budget.max_seconds = 30.0;
   opts.trace = trace;
   Row row{reach::reachBfv(s, opts), {}};

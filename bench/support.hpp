@@ -29,13 +29,23 @@ namespace bfvr::bench {
 using util::JsonLog;
 using util::JsonObject;
 
+/// Options of a run that reproduces the paper: the Fig. 1/2 selection
+/// heuristic as published (reach::FrontierPolicy::kPaper), not the guarded
+/// chi frontier the library defaults to. bench_table2's guarded column sets
+/// that policy on its own runs.
+inline reach::ReachOptions paperOptions() {
+  reach::ReachOptions o;
+  o.frontier = reach::FrontierPolicy::kPaper;
+  return o;
+}
+
 /// One engine invocation on a fresh manager (each run gets its own BDD
 /// universe so peaks and caches do not leak across rows — the paper runs
 /// each configuration as a separate process).
 struct RunSpec {
   enum class Engine { kTr, kTrMono, kCbm, kBfv, kCdec };
   Engine engine = Engine::kBfv;
-  reach::ReachOptions opts;
+  reach::ReachOptions opts = paperOptions();
   /// Manager configuration of the run's fresh BDD universe — how the
   /// ordering benches turn on Config::auto_reorder per run.
   bdd::Manager::Config mgr;

@@ -24,6 +24,20 @@ const char* to_string(Phase p) noexcept {
   return "?";
 }
 
+const char* to_string(FromSet f) noexcept {
+  switch (f) {
+    case FromSet::kReached:
+      return "reached";
+    case FromSet::kImage:
+      return "image";
+    case FromSet::kChi:
+      return "chi";
+    case FromSet::kCheckpoint:
+      return "checkpoint";
+  }
+  return "?";
+}
+
 double PhaseSeconds::total() const noexcept {
   double t = 0.0;
   for (const double s : seconds) t += s;

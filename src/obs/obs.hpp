@@ -116,11 +116,24 @@ class PhaseTimer {
   PhaseSeconds totals_;
 };
 
+/// Which set an iteration simulated from: the selection heuristic's pick
+/// (reach::FrontierPolicy), recorded so a trace shows when a policy
+/// switched.
+enum class FromSet : std::uint8_t {
+  kReached,     ///< the whole reached set
+  kImage,       ///< the set weighed against it: the last image (BFV/CDEC)
+                ///< or its new states, image & ~reached (chi engines)
+  kChi,         ///< the guarded chi frontier of the BFV flow
+  kCheckpoint,  ///< the frontier a resumed run read from its checkpoint
+};
+const char* to_string(FromSet f) noexcept;
+
 /// One frontier iteration of a reachability engine — the trace record the
 /// acceptance tooling keys on. `ops_delta` are the manager counters spent
 /// by this iteration; `phase_seconds` its scoped phase split.
 struct IterationRecord {
   unsigned iteration = 0;        ///< 1-based, matches ReachResult.iterations
+  FromSet from = FromSet::kReached;  ///< the set simulated from
   double frontier_states = 0.0;  ///< states in the set simulated from
   std::size_t frontier_nodes = 0;  ///< (shared) node count of that set
   PhaseSeconds phase_seconds;

@@ -38,6 +38,7 @@ std::string opStatsJson(const bdd::OpStats& s) {
 std::string iterationJson(const IterationRecord& r) {
   JsonObject o;
   o.add("iteration", r.iteration)
+      .add("from", to_string(r.from))
       .add("frontier_states", r.frontier_states)
       .add("frontier_nodes", static_cast<std::uint64_t>(r.frontier_nodes))
       .addRaw("phase_seconds", phaseJson(r.phase_seconds))

@@ -110,9 +110,9 @@ class CdecOps {
   }
 
   static Cdec unite(const Cdec& a, const Cdec& b) { return setUnion(a, b); }
-  static const Cdec& newStates(const Cdec& img, const Cdec& /*reached*/,
-                               Cdec&) {
-    return img;
+  static internal::News<Cdec> newStates(const Cdec& img, const Cdec&,
+                                        const Cdec&, Cdec&, Tracer&) {
+    return {img, obs::FromSet::kImage};
   }
   static std::size_t size(const Cdec& f) { return f.sharedSize(); }
 
@@ -145,8 +145,34 @@ class CdecOps {
 
 namespace internal {
 
+namespace {
+
+/// The guarded chi frontier leaves its mode once a chi would have more than
+/// this many times (reached's shared size + width) nodes.
+constexpr std::size_t kChiBoundFactor = 4;
+
+/// chi(f), built as Bfv::toChar builds it; a null Bdd as soon as a partial
+/// conjunction has more than `bound` nodes, so a chi too large to keep is
+/// never paid for in full.
+Bdd boundedChar(const Bfv& f, std::size_t bound) {
+  Manager& m = *f.manager();
+  if (f.isEmpty()) return m.zero();
+  Bdd chi = m.one();
+  for (std::size_t i = 0; i < f.width(); ++i) {
+    chi &= m.xnorB(m.var(f.choiceVars()[i]), f.comps()[i]);
+    if (m.nodeCount(chi) > bound) return Bdd();
+  }
+  return chi;
+}
+
+}  // namespace
+
 BfvOps::BfvOps(sym::StateSpace& s, const ReachOptions& opts, RunGuard&)
-    : s_(s), reparam_(opts.reparam), params_(simulationParams(s)) {}
+    : s_(s),
+      reparam_(opts.reparam),
+      params_(simulationParams(s)),
+      mode_(opts.frontier == FrontierPolicy::kGuarded ? ChiMode::kWaiting
+                                                      : ChiMode::kOff) {}
 
 std::pair<Bfv, Bfv> BfvOps::decode(sym::StateSpace& s,
                                    const io::Checkpoint& c) {
@@ -183,6 +209,47 @@ BfvOps::Step BfvOps::image(const Bfv& from, RunGuard& guard,
                                /*trusted=*/true);
   });
   return st;
+}
+
+News<Bfv> BfvOps::newStates(const Bfv& img, const Bfv& reached,
+                            const Bfv& next, Bfv& out, Tracer& tracer) {
+  const News<Bfv> whole{img, obs::FromSet::kImage};
+  switch (mode_) {
+    case ChiMode::kOff:
+      return whole;
+    case ChiMode::kWaiting:
+      // Entry: the image covers reached, so the paper's heuristic simulates
+      // from all of reached, as this iteration still does. A vector no
+      // larger than its width is cheap to simulate from anyway.
+      if (next == img && next.sharedSize() > next.width()) {
+        mode_ = ChiMode::kOn;
+      }
+      return whole;
+    case ChiMode::kOn:
+      break;
+  }
+  Manager& m = s_.manager();
+  const auto convert = tracer.phase(obs::Phase::kConvert);
+  const std::size_t bound =
+      kChiBoundFactor * (next.sharedSize() + next.width());
+  // The first iteration in the mode builds chi(reached); a run that
+  // converges right after the entry never pays for it.
+  if (chi_reached_.isNull()) chi_reached_ = boundedChar(reached, bound);
+  const Bdd chi_img =
+      chi_reached_.isNull() ? Bdd() : boundedChar(img, bound);
+  Bdd chi_next;
+  if (!chi_img.isNull()) chi_next = chi_reached_ | chi_img;
+  if (chi_next.isNull() || m.nodeCount(chi_next) > bound) {
+    mode_ = ChiMode::kOff;
+    chi_reached_ = Bdd();
+    return whole;
+  }
+  // Agrees with chi(img) outside the previous reached set and is free
+  // inside it: a set between the new states and next.
+  const Bdd part = m.restrict(chi_img, ~chi_reached_);
+  chi_reached_ = std::move(chi_next);
+  out = bfv::fromChar(m, part, s_.currentVars());
+  return {out, obs::FromSet::kChi};
 }
 
 io::Checkpoint BfvOps::encode(const Bfv& reached, const Bfv& from) const {

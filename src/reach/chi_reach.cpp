@@ -159,9 +159,11 @@ class ChiOps {
     return image_(from, guard, tracer);
   }
   static Bdd unite(const Bdd& reached, const Bdd& img) { return reached | img; }
-  static const Bdd& newStates(const Bdd& img, const Bdd& reached, Bdd& out) {
+  static internal::News<Bdd> newStates(const Bdd& img, const Bdd& reached,
+                                       const Bdd& /*next*/, Bdd& out,
+                                       Tracer&) {
     out = img & ~reached;
-    return out;
+    return {out, obs::FromSet::kImage};
   }
   std::size_t size(const Bdd& f) const { return s_.manager().nodeCount(f); }
 

@@ -59,12 +59,34 @@ struct ReorderPolicy {
   bool group_state_pairs = true;
 };
 
+/// Which set each iteration simulates from: the Fig. 1/2 "Selection
+/// Heuristic" box. Any set between the new states and the reached set gives
+/// the same breadth-first levels, so the policy changes only the cost of a
+/// run: states, iterations and every reached set are the same under all
+/// three.
+enum class FrontierPolicy : std::uint8_t {
+  /// Always the whole reached set.
+  kReached,
+  /// The paper's heuristic: the smaller of the new states and the reached
+  /// set. A BFV has no set difference, so the Fig. 2 flow weighs its whole
+  /// image.
+  kPaper,
+  /// kPaper, plus a guarded chi frontier for the Fig. 2 flow's BFV backend.
+  /// Once an image contains all of reached (so kPaper would simulate from
+  /// reached) and reached's vector is larger than its width, the loop keeps
+  /// chi(reached) and simulates from the BFV of restrict(chi(image),
+  /// ~chi(previous reached)), a set between the new states and reached. It
+  /// leaves that mode for good once a chi would exceed 4 x (reached's
+  /// shared size + width). The chi engines already simulate from their
+  /// exact new states and the CDEC backend keeps the paper's heuristic, so
+  /// for them kGuarded is kPaper.
+  kGuarded,
+};
+
 struct ReachOptions {
   Budget budget;
-  /// Selection heuristic (Fig. 1/2 "Selection Heuristic" box): simulate
-  /// from the smaller of the new image and the reached set. When false,
-  /// always simulate from the full reached set.
-  bool use_frontier = true;
+  /// Selection heuristic; see FrontierPolicy.
+  FrontierPolicy frontier = FrontierPolicy::kGuarded;
   /// Re-parameterization quantification schedule (BFV/CDEC engines).
   bfv::ReparamOptions reparam;
   /// Set algebra of the Fig. 2 engine.

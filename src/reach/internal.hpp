@@ -81,11 +81,13 @@ class Tracer {
   /// Open iteration `iteration`'s record. `frontier` is invoked only when
   /// tracing is on; it returns {states, (shared) nodes} of the set this
   /// iteration simulates from, so untraced runs skip the counting cost.
+  /// `from` names that set.
   template <typename F>
-  void beginIteration(unsigned iteration, F&& frontier) {
+  void beginIteration(unsigned iteration, obs::FromSet from, F&& frontier) {
     if (!enabled()) return;
     cur_ = obs::IterationRecord{};
     cur_.iteration = iteration;
+    cur_.from = from;
     const auto [states, nodes] = frontier();
     cur_.frontier_states = states;
     cur_.frontier_nodes = nodes;
@@ -203,6 +205,14 @@ ReachResult runGuarded(Manager& m, const ReachOptions& opts, Body&& body) {
   return r;
 }
 
+/// What an ops type's newStates() hands the selection heuristic: the set it
+/// weighs against reached, and which set that is (for the trace).
+template <typename Set>
+struct News {
+  const Set& set;
+  obs::FromSet kind;
+};
+
 /// The one fixpoint loop behind every engine. Figs. 1 and 2 are the same
 /// iteration over two set algebras: simulate from a frontier, union into
 /// the reached set, stop when the union stops growing. The loop owns what
@@ -220,8 +230,10 @@ ReachResult runGuarded(Manager& m, const ReachOptions& opts, Body&& body) {
 ///   image(from, guard, tracer)   one image step; the value it returns owns
 ///                                every intermediate and `.img` is the image
 ///   unite(reached, img)          the union
-///   newStates(img, reached, out) the set the selection heuristic weighs:
-///                                `img` itself, or a new set stored in `out`
+///   newStates(img, reached, next, out, tracer)
+///                                the News the selection heuristic weighs:
+///                                `img` itself, or a new set stored in `out`;
+///                                `next` is the union of `reached` and `img`
 ///   size(set)                    a set's BDD size
 ///   kSampleUnion                 whether the peak is sampled after the union
 ///   encode(reached, from)        the checkpoint's tag, kind and roots
@@ -235,11 +247,12 @@ ReachResult runGuarded(Manager& m, const ReachOptions& opts, Body&& body) {
 /// the node layout and every later cache hit and counter. The loop pins
 /// both. The image step's value, which owns all of the step's
 /// intermediates, and the new-state set's storage are locals of the loop
-/// body, so they live to the end of the iteration, across maybeGc(). The
-/// peak is sampled at fixed points only: after setup (by ops whose setup
-/// builds BDDs), inside the image step, after the union when
-/// Ops::kSampleUnion, and after maybeGc(). The loop also copies no set it
-/// does not need: even a short-lived vector moves the heap layout, and
+/// body, so they live to the end of the iteration, across maybeGc(). State
+/// an ops type keeps across iterations (BfvOps' chi of reached) is live at
+/// every sample. The peak is sampled at fixed points only: after setup (by
+/// ops whose setup builds BDDs), inside the image step, after the union
+/// when Ops::kSampleUnion, and after maybeGc(). The loop also copies no set
+/// it does not need: even a short-lived vector moves the heap layout, and
 /// with it the process's peak RSS.
 template <typename Ops>
 ReachResult fixpoint(sym::StateSpace& s, const ReachOptions& opts) {
@@ -252,18 +265,20 @@ ReachResult fixpoint(sym::StateSpace& s, const ReachOptions& opts) {
   return runGuarded(m, opts, [&](ReachResult& r, RunGuard& guard,
                                  Tracer& tracer) {
     applyReorderPolicy(s, opts);
-    const Ops ops(s, opts, guard);
+    Ops ops(s, opts, guard);
     Set reached, from;
+    obs::FromSet from_kind = obs::FromSet::kReached;
     if (seed) {
       r.iterations = opts.resume->iteration;
       std::tie(reached, from) = std::move(*seed);
+      from_kind = obs::FromSet::kCheckpoint;
     } else {
       reached = ops.initial();
       from = reached;
     }
     for (;;) {
       ++r.iterations;
-      tracer.beginIteration(r.iterations, [&] {
+      tracer.beginIteration(r.iterations, from_kind, [&] {
         return std::pair{ops.states(from), ops.size(from)};
       });
       const auto step = ops.image(from, guard, tracer);
@@ -274,13 +289,15 @@ ReachResult fixpoint(sym::StateSpace& s, const ReachOptions& opts) {
       Set fresh;
       if (!converged) {
         const auto check = tracer.phase(obs::Phase::kCheck);
-        const Set& news = ops.newStates(step.img, reached, fresh);
+        const News<Set> news =
+            ops.newStates(step.img, reached, next, fresh, tracer);
         reached = next;
         // Selection heuristic (the Fig. 1/2 box): simulate from the smaller
         // of the new states and the reached set.
-        from = opts.use_frontier && ops.size(news) < ops.size(reached)
-                   ? news
-                   : reached;
+        const bool pick = opts.frontier != FrontierPolicy::kReached &&
+                          ops.size(news.set) < ops.size(reached);
+        from = pick ? news.set : reached;
+        from_kind = pick ? news.kind : obs::FromSet::kReached;
       }
       tracer.endIteration();
       if (converged) break;
@@ -324,10 +341,11 @@ class BfvOps {
   Step image(const Bfv& from, RunGuard& guard, Tracer& tracer) const;
   static Bfv unite(const Bfv& a, const Bfv& b) { return setUnion(a, b); }
   /// BFVs have no set difference (§2 has no negation), so the whole image
-  /// plays the frontier role.
-  static const Bfv& newStates(const Bfv& img, const Bfv& /*reached*/, Bfv&) {
-    return img;
-  }
+  /// plays the frontier role, except in FrontierPolicy::kGuarded's chi
+  /// mode: there the new states come from chi(reached), which this ops
+  /// object keeps (bfv_reach.cpp).
+  News<Bfv> newStates(const Bfv& img, const Bfv& reached, const Bfv& next,
+                      Bfv& out, Tracer& tracer);
   static std::size_t size(const Bfv& f) { return f.sharedSize(); }
   io::Checkpoint encode(const Bfv& reached, const Bfv& from) const;
   static void finish(const Bfv& reached, ReachResult& r) {
@@ -339,6 +357,16 @@ class BfvOps {
   sym::StateSpace& s_;
   bfv::ReparamOptions reparam_;
   std::vector<unsigned> params_;  ///< simulation parameters: v bank + inputs
+  /// Where FrontierPolicy::kGuarded's chi frontier stands.
+  enum class ChiMode : std::uint8_t {
+    kOff,      ///< another policy, or the guard has tripped (for good)
+    kWaiting,  ///< waiting for an image that covers reached
+    kOn,       ///< simulating from chi frontiers
+  };
+  ChiMode mode_;
+  /// chi of the reached set in ChiMode::kOn, from the mode's first
+  /// non-final iteration on; null otherwise.
+  Bdd chi_reached_;
 };
 
 }  // namespace bfvr::reach::internal

@@ -151,6 +151,9 @@ reach::ReachResult runLzAttempt(const JobSpec& spec, const circuit::Netlist& n,
                        &opts](const lz::IterationStats& s) {
       obs::IterationRecord rec;
       rec.iteration = s.iteration;
+      // lz expands the initial set, then each step's new members.
+      rec.from =
+          s.iteration == 1 ? obs::FromSet::kReached : obs::FromSet::kImage;
       rec.frontier_states = s.frontier_states;
       rec.frontier_nodes = s.frontier_members;
       // No BDD nodes exist; the member census (zonotopes + points) is the

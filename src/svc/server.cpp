@@ -606,12 +606,15 @@ void Server::pump() {
     // append a checkpoint watermark at the job's snapshot cadence. The hook
     // runs on the worker thread. It looks the owner up under mu_ at every
     // send, so a client that reattached by key gets the rest of the
-    // stream, sends outside mu_, and swallows everything — a dead client
-    // must not disturb the engine. The hook fires *before* the engine
-    // writes the post-iteration snapshot, so a journaled watermark means
-    // "progress reached", not "snapshot durable": replay always trusts the
-    // spool file itself (atomic tmp+rename, so it is complete whenever it
-    // exists), never the watermark.
+    // stream, and sends outside mu_. Updates are best-effort: one goes out
+    // only when the owner's socket is writable, and is dropped (and
+    // counted) otherwise, so a client that stops reading cannot pin the
+    // worker and the job's deadline is still polled. The hook fires
+    // *before* the engine writes the post-iteration snapshot, so a
+    // journaled watermark means "progress reached", not "snapshot
+    // durable": replay always trusts the spool file itself (atomic
+    // tmp+rename, so it is complete whenever it exists), never the
+    // watermark.
     const bool stream = opts_.stream_iterations;
     const bool watermark = journal_ != nullptr &&
                            !spec.opts.checkpoint_path.empty() &&
@@ -622,8 +625,11 @@ void Server::pump() {
       // invocations (one lambda per dispatch, called sequentially on the
       // worker thread), so each observation is one iteration's wall-clock.
       auto last_mark = std::make_shared<double>(uptime_.seconds());
+      obs::Counter* dropped = &tenantCounter(
+          "bfvr_svc_iteration_updates_dropped_total", r.job.tenant);
       spec.opts.on_iteration = [this, id, last_mark, stream, watermark,
-                                ckpt_every](const obs::IterationRecord& it) {
+                                ckpt_every,
+                                dropped](const obs::IterationRecord& it) {
         const double now_s = uptime_.seconds();
         iterationHistogram().observeSeconds(now_s - *last_mark);
         *last_mark = now_s;
@@ -665,7 +671,7 @@ void Server::pump() {
         u.live_nodes = it.live_nodes;
         u.peak_nodes = it.peak_nodes;
         u.frontier_states = it.frontier_states;
-        sendTo(owner, u.encode());
+        if (!sendIfWritable(owner, u.encode())) dropped->inc();
       };
     }
     if (journal_ != nullptr) {
@@ -833,6 +839,22 @@ void Server::sendTo(const std::shared_ptr<Session>& s, const Frame& f) {
     // down. Until then, drop further frames silently.
     s->alive.store(false, std::memory_order_relaxed);
   }
+}
+
+bool Server::sendIfWritable(const std::shared_ptr<Session>& s,
+                            const Frame& f) {
+  // Other writers hold the mutex for one small frame each, and those
+  // writes do not block either: POLLOUT clears long before updates could
+  // fill a stalled client's buffer.
+  const std::lock_guard<std::mutex> lock(s->write_mu);
+  if (!s->alive.load(std::memory_order_relaxed)) return true;
+  if (!writableNow(s->fd)) return false;
+  try {
+    sendFrame(s->fd, f);
+  } catch (const Error&) {
+    s->alive.store(false, std::memory_order_relaxed);
+  }
+  return true;
 }
 
 std::shared_ptr<Server::Session> Server::sessionById(std::uint64_t id) {

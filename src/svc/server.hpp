@@ -203,6 +203,11 @@ class Server {
   /// failure. Safe to call with or without mu_ held (takes only the
   /// session's write mutex).
   void sendTo(const std::shared_ptr<Session>& s, const Frame& f);
+  /// sendTo for frames a client may miss (IterationUpdate): sends only when
+  /// the session's socket polls writable, so a client that stopped reading
+  /// cannot block the caller on a full buffer. Returns false when it
+  /// dropped the frame for that reason.
+  bool sendIfWritable(const std::shared_ptr<Session>& s, const Frame& f);
   /// The live session `id`, or nullptr. Caller holds mu_.
   std::shared_ptr<Session> sessionById(std::uint64_t id);
   obs::SvcTenantStats& statsFor(const std::string& tenant);

@@ -170,6 +170,15 @@ void setSendTimeout(const Fd& fd, double seconds) {
   }
 }
 
+bool writableNow(const Fd& fd) {
+  pollfd p{fd.get(), POLLOUT, 0};
+  int rc = 0;
+  do {
+    rc = ::poll(&p, 1, 0);
+  } while (rc < 0 && errno == EINTR);
+  return rc == 1 && (p.revents & POLLOUT) != 0;
+}
+
 void Fd::close() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);

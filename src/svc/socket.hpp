@@ -92,6 +92,11 @@ std::optional<Frame> recvFrame(const Fd& fd);
 /// forever the way a blocking recv can).
 std::optional<Frame> recvFrame(const Fd& fd, const RecvDeadlines& deadlines);
 
+/// Whether `fd` polls writable right now (POLLOUT, 0-ms timeout). A peer
+/// that stopped reading turns this false once a share of the socket buffer
+/// is queued, well before a blocking write of a small frame would wait.
+bool writableNow(const Fd& fd);
+
 /// Cap how long a send may block on a full socket buffer (SO_SNDTIMEO);
 /// past it, sendFrame throws svc::Error. 0 restores blocking sends.
 void setSendTimeout(const Fd& fd, double seconds);

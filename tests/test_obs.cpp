@@ -361,7 +361,7 @@ TEST(ReachTrace, EveryEngineCountsTheSameFrontierStates) {
       sym::StateSpace s(m, n, circuit::makeOrder(n, {}));
       reach::ReachOptions opts;
       opts.trace = true;
-      opts.use_frontier = false;
+      opts.frontier = reach::FrontierPolicy::kReached;
       const reach::ReachResult r = runEngine(e, s, opts);
       ASSERT_EQ(r.status, RunStatus::kDone) << n.name();
       ASSERT_TRUE(r.trace.has_value()) << n.name();
@@ -378,6 +378,39 @@ TEST(ReachTrace, EveryEngineCountsTheSameFrontierStates) {
       } else {
         EXPECT_EQ(seq, ref) << n.name() << " engine " << static_cast<int>(e);
       }
+    }
+  }
+}
+
+TEST(ReachTrace, RecordsTheSetEachIterationSimulatedFrom) {
+  // A counter with an enable input puts every state in its own image: the
+  // paper's heuristic then simulates from reached, the guarded policy from
+  // chi frontiers, whose conversions are the run's convert phase.
+  const circuit::Netlist n = circuit::makeCounter(6, 40);
+  for (const reach::FrontierPolicy p :
+       {reach::FrontierPolicy::kPaper, reach::FrontierPolicy::kGuarded}) {
+    bdd::Manager m(0);
+    sym::StateSpace s(m, n, circuit::makeOrder(n, {}));
+    reach::ReachOptions opts;
+    opts.trace = true;
+    opts.frontier = p;
+    const reach::ReachResult r = reach::reachBfv(s, opts);
+    ASSERT_EQ(r.status, RunStatus::kDone);
+    ASSERT_TRUE(r.trace.has_value());
+    const std::vector<obs::IterationRecord>& its = r.trace->iterations;
+    ASSERT_EQ(its.size(), r.iterations);
+    EXPECT_EQ(its.front().from, obs::FromSet::kReached);
+    const auto chi = std::count_if(
+        its.begin(), its.end(), [](const obs::IterationRecord& rec) {
+          return rec.from == obs::FromSet::kChi;
+        });
+    const double convert = r.trace->phase_totals[obs::Phase::kConvert];
+    if (p == reach::FrontierPolicy::kPaper) {
+      EXPECT_EQ(chi, 0);
+      EXPECT_EQ(convert, 0.0);
+    } else {
+      EXPECT_GT(chi, 0);
+      EXPECT_GT(convert, 0.0);
     }
   }
 }
@@ -434,6 +467,7 @@ TEST(Report, JsonRoundTripsOnShippedCircuit) {
     const JsonValue& it = trace.arr[i];
     const obs::IterationRecord& rec = r.trace->iterations[i];
     EXPECT_EQ(it.at("iteration").num, rec.iteration);
+    EXPECT_EQ(it.at("from").str, obs::to_string(rec.from));
     EXPECT_NEAR(it.at("frontier_states").num, rec.frontier_states,
                 1e-6 * (1.0 + rec.frontier_states));
     EXPECT_EQ(it.at("live_nodes").num, rec.live_nodes);

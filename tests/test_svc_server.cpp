@@ -39,6 +39,14 @@ std::uint64_t jobsFinished(const std::string& tenant) {
       .value();
 }
 
+/// bfvr_svc_iteration_updates_dropped_total for `tenant`.
+std::uint64_t updatesDropped(const std::string& tenant) {
+  return obs::Registry::global()
+      .counter("bfvr_svc_iteration_updates_dropped_total",
+               obs::metricLabel("tenant", tenant))
+      .value();
+}
+
 /// The retained span of job `id` (a default span when there is none).
 obs::JobSpan spanOf(const Server& server, std::uint64_t id) {
   for (const obs::JobSpan& span : server.spans()) {
@@ -110,6 +118,66 @@ TEST(SvcServer, IterationUpdatesStream) {
     // A mod-40 counter takes 40 frontier iterations; every one streams.
     EXPECT_GE(updates, 40u);
     client.bye();
+  }
+  server.requestShutdown(true);
+  server.waitStopped();
+}
+
+TEST(SvcServer, StalledClientDoesNotStallTheEngine) {
+  // A client that stops reading must not pin the worker streaming its
+  // updates: the job still hits its deadline, another session's job still
+  // runs, and the stalled client gets its JobDone once it reads again. A
+  // blocking update send pins the worker once the socket buffer fills, so
+  // every wait here is bounded (and ctest adds a timeout of its own).
+  const std::string sock = sockPath("stall");
+  Server::Options opts = baseOptions(sock);
+  opts.checkpoint_every = 0;  // thousands of iterations a second
+  Server server(opts);
+  server.start();
+  constexpr double kDeadline = 5.0;
+  constexpr double kSlack = 5.0;
+  const std::uint64_t dropped_before = updatesDropped("alpha");
+  {
+    Client stalled("unix:" + sock, "alpha");
+    const std::uint64_t tag = stalled.submit(
+        "circuit=gen:counter:24:16777216 engine=bfv deadline=5");
+    const std::optional<std::uint64_t> job = stalled.awaitAdmission(tag);
+    ASSERT_TRUE(job.has_value());
+    for (unsigned updates = 0; updates < 2;) {
+      const std::optional<Event> ev = stalled.next();
+      ASSERT_TRUE(ev.has_value());
+      if (std::holds_alternative<IterationUpdate>(*ev)) ++updates;
+    }
+    // `stalled` reads nothing from here on.
+    {
+      Client other("unix:" + sock, "bravo");
+      const std::optional<std::uint64_t> quick =
+          other.awaitAdmission(other.submit("circuit=gen:counter:4:10"));
+      ASSERT_TRUE(quick.has_value());
+      EXPECT_EQ(other.awaitDone(*quick).status, "done");
+      other.bye();
+    }
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::duration<double>(kDeadline + kSlack);
+    while (spanOf(server, *job).status.empty() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    EXPECT_EQ(spanOf(server, *job).status, "T.O.")
+        << "the job did not end while its client was not reading";
+    EXPECT_GT(updatesDropped("alpha"), dropped_before);
+
+    for (;;) {
+      const std::optional<Event> ev = stalled.next(kDeadline + kSlack);
+      ASSERT_TRUE(ev.has_value()) << "no JobDone after reading again";
+      if (const auto* d = std::get_if<JobDone>(&*ev)) {
+        EXPECT_EQ(d->job, *job);
+        EXPECT_EQ(d->status, "T.O.");
+        EXPECT_LT(d->seconds, kDeadline + kSlack);
+        break;
+      }
+    }
+    stalled.bye();
   }
   server.requestShutdown(true);
   server.waitStopped();
