@@ -163,9 +163,9 @@ const char* to_string(PressureRung r) noexcept;
 
 /// Public identity of a computed-cache operation family, used to break the
 /// aggregate cache counters down per operation (OpStats::op_cache_hits /
-/// op_cache_misses). All compose variants share one tag (the internal tag
-/// space is open-ended per substituted variable); everything else maps 1:1
-/// to its recursive kernel.
+/// op_cache_misses). All compose variants and permute share one tag (the
+/// internal tag space is open-ended per substituted variable); everything
+/// else maps 1:1 to its recursive kernel.
 enum class OpTag : std::uint8_t {
   kAnd,
   kXor,
@@ -668,10 +668,12 @@ class Manager {
     kOpConstrain,
     kOpRestrict,
     kOpCofactor2,   // key: (f, var); dual result
+    kOpPermute,     // key: (regular f, permutation id)
     kOpComposeBase  // kOpComposeBase + var; must stay last (open-ended)
   };
 
-  /// Stats bucket of an internal op tag (compose variants collapse to one).
+  /// Stats bucket of an internal op tag (compose variants and permute
+  /// collapse to one).
   static OpTag tagOf(std::uint32_t op) noexcept {
     switch (op) {
       case kOpAnd:
@@ -824,12 +826,23 @@ class Manager {
   Edge constrainRec(Edge f, Edge c);
   Edge restrictRec(Edge f, Edge c);
   Edge composeRec(Edge f, std::uint32_t var, Edge g);
+  /// Rename the variables of f by perm, memoized under permutation `pid`.
+  Edge permuteRec(Edge f, std::span<const unsigned> perm, std::uint32_t pid);
   /// Fused dual cofactor: returns f|var=0 and writes f|var=1 to `hi`.
   Edge cofactor2Rec(Edge f, std::uint32_t var, Edge& hi);
+
+  /// Id of `perm` in the permutation table, added if absent. Two spans that
+  /// differ only in trailing identity entries are one permutation.
+  std::uint32_t permId(std::span<const unsigned> perm);
 
   // -- GC ----------------------------------------------------------------------
   /// Mark every node reachable from e; returns how many were newly marked.
   std::size_t markFrom(Edge e);
+
+  /// The computed-cache arrays of the last Manager that died in this
+  /// process, kept for the next one with as many sets (manager.cpp).
+  struct ParkedCache;
+  static ParkedCache& parkedCache();
 
   Bdd make(Edge e) noexcept { return Bdd(this, e); }
   Edge requireSameManager(const Bdd& b) const;
@@ -857,6 +870,15 @@ class Manager {
   std::uint32_t cache_set_mask_ = 0;         // (number of sets) - 1
   std::uint32_t cache_gen_ = 1;              // current aging generation
   std::uint32_t cache_gen_tick_ = 0;         // inserts since the last bump
+  /// Permutations permute() has keyed the cache with, oldest first. An id
+  /// is never handed out twice (until resetForReuse clears the cache), so
+  /// an entry evicted from this table cannot alias a later permutation.
+  struct PermEntry {
+    std::vector<unsigned> perm;  // trailing identity entries trimmed
+    std::uint32_t id;
+  };
+  std::vector<PermEntry> perms_;
+  std::uint32_t next_perm_id_ = 0;
   OpStats stats_;
   InterruptCheck interrupt_check_;
   std::uint32_t interrupt_tick_ = 0;  // allocations since the last poll

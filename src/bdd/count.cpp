@@ -2,9 +2,9 @@
 // and satisfying-cube extraction.
 #include <bit>
 #include <cmath>
-#include <unordered_map>
 
 #include "bdd/bdd.hpp"
+#include "bdd/memo.hpp"
 
 namespace bfvr::bdd {
 
@@ -56,7 +56,7 @@ Bdd Manager::supportCube(const Bdd& f) {
 
 double Manager::satCount(const Bdd& f, unsigned num_vars) {
   const Edge root = requireSameManager(f);
-  std::unordered_map<Edge, long double> memo;
+  detail::EdgeMemo<long double> memo(nodeCount(f));
   // Satisfying fraction, memoized on regular edges (complements are 1-p).
   // Every fraction of a function of d variables is k / 2^d, exact in a d-bit
   // significand, and so is 1 - p. A long double (64-bit significand on
@@ -66,18 +66,17 @@ double Manager::satCount(const Bdd& f, unsigned num_vars) {
   auto prob = [&](auto&& self, Edge e) -> long double {
     if (e == kTrueEdge) return 1.0L;
     if (e == kFalseEdge) return 0.0L;
-    const bool compl_in = isCompl(e);
     const Edge reg = regular(e);
     long double p;
-    if (auto it = memo.find(reg); it != memo.end()) {
-      p = it->second;
+    if (const long double* hit = memo.find(reg)) {
+      p = *hit;
     } else {
       const long double ph = self(self, highOf(reg));
       const long double pl = self(self, lowOf(reg));
       p = 0.5L * ph + 0.5L * pl;
-      memo.emplace(reg, p);
+      memo.insert(reg, p);
     }
-    return compl_in ? 1.0L - p : p;
+    return isCompl(e) ? 1.0L - p : p;
   };
   return static_cast<double>(
       std::ldexp(prob(prob, root), static_cast<int>(num_vars)));

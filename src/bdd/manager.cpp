@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 
 #include "util/stats.hpp"
 
@@ -174,6 +175,21 @@ double Bdd::satCount(unsigned num_vars) const {
 using detail::hash3;
 using detail::kMul2;
 
+/// One block per process at most: a process with no Manager keeps one
+/// idle computed cache (8 MB at the default 2^18 slots), never more.
+struct Manager::ParkedCache {
+  std::mutex mu;
+  std::vector<CacheKeySet> keys;
+  std::vector<CacheSetData> data;
+};
+
+Manager::ParkedCache& Manager::parkedCache() {
+  // Never destroyed: a Manager that dies during static destruction still
+  // finds its slot.
+  static ParkedCache* const parked = new ParkedCache;
+  return *parked;
+}
+
 Manager::Manager(unsigned num_vars) : Manager(num_vars, Config{}) {}
 
 Manager::Manager(unsigned num_vars, Config cfg)
@@ -188,8 +204,23 @@ Manager::Manager(unsigned num_vars, Config cfg)
   // At least one full set, even under degenerate cache_bits.
   const std::size_t sets =
       std::max(std::size_t{1} << cfg_.cache_bits, kCacheWays) / kCacheWays;
-  cache_keys_.assign(sets, CacheKeySet{});
-  cache_data_.assign(sets, CacheSetData{});
+  {
+    ParkedCache& parked = parkedCache();
+    const std::lock_guard<std::mutex> lock(parked.mu);
+    if (parked.keys.size() == sets) {
+      cache_keys_.swap(parked.keys);
+      cache_data_.swap(parked.data);
+    }
+  }
+  if (cache_keys_.empty()) {
+    cache_keys_.assign(sets, CacheKeySet{});
+    cache_data_.assign(sets, CacheSetData{});
+  } else {
+    // An adopted block: clearing the keys empties every way, as gc() does.
+    // Results and gens are read only for keyed ways, which this manager
+    // writes first, so a job is bit-identical on a fresh or adopted block.
+    std::fill(cache_keys_.begin(), cache_keys_.end(), CacheKeySet{});
+  }
   cache_set_mask_ = static_cast<std::uint32_t>(sets - 1);
   if (num_vars > 0) ensureVar(num_vars - 1);
 }
@@ -202,6 +233,14 @@ Manager::~Manager() {
     h->prev_ = h->next_ = nullptr;
     h = next;
   }
+  // Park the cache for the next Manager. Freeing it would hand the block
+  // back to the allocator, and the next Manager's blocks would land
+  // wherever the heap's holes are; the block parked before is freed
+  // instead, by the member destructors, outside the lock.
+  ParkedCache& parked = parkedCache();
+  const std::lock_guard<std::mutex> lock(parked.mu);
+  cache_keys_.swap(parked.keys);
+  cache_data_.swap(parked.data);
 }
 
 Bdd Manager::var(unsigned idx) {
@@ -533,6 +572,8 @@ bool Manager::resetForReuse() {
   next_reorder_at_ = cfg_.reorder_threshold;
   cache_gen_ = 1;
   cache_gen_tick_ = 0;
+  perms_.clear();
+  next_perm_id_ = 0;
   stats_ = OpStats{};
   peak_nodes_ = in_use_;
   return true;

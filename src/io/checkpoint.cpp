@@ -101,7 +101,7 @@ class DagEncoder {
       if (id_.count(n.raw()) != 0) continue;
       if (!expanded) {
         stack.emplace_back(n, true);
-        for (const Bdd c : {n.high(), n.low()}) {
+        for (const Bdd& c : {n.high(), n.low()}) {
           if (c.isConst()) continue;
           const Bdd creg = (c.raw() & 1U) != 0 ? ~c : c;
           if (id_.count(creg.raw()) == 0) stack.emplace_back(creg, false);

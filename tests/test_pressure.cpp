@@ -361,6 +361,52 @@ TEST(PressureLadder, ToCharSurvivesLadderRerun) {
   EXPECT_DOUBLE_EQ(m.satCount(chi, 16), 40.0);
 }
 
+// vectorCompose and permute walk by level. When the ladder's reorder rung
+// runs between two attempts of one call, the retry must read the levels
+// afresh: a substituted variable sifted below where it was must still be
+// substituted.
+TEST(PressureLadder, RenameAndComposeSurviveAReorderRerun) {
+  Manager::Config cfg;
+  cfg.pressure_ladder.enabled = true;
+  cfg.pressure_ladder.forced_gc = false;
+  cfg.pressure_ladder.shrink_cache = false;  // the first rung reorders
+  Manager m(12, cfg);
+  Manager plain(12);
+  // Twin bits six levels apart: sifting pulls each x_{i+6} up next to x_i,
+  // which pushes x1 down.
+  const auto twins = [](Manager& mm) {
+    Bdd t = mm.one();
+    for (unsigned i = 0; i < 6; ++i) t &= mm.xnorB(mm.var(i), mm.var(i + 6));
+    return t;
+  };
+  const Bdd f = twins(m);
+  std::vector<Bdd> map(2);
+  map[1] = ~m.var(0) | m.var(11);
+  std::vector<Bdd> plain_map(2);
+  plain_map[1] = ~plain.var(0) | plain.var(11);
+  const Bdd want = plain.vectorCompose(twins(plain), plain_map);
+  const unsigned level_before = m.levelOfVar(1);
+  FaultPlan fp;
+  fp.alloc_failures = {1};
+  m.setFaultPlan(fp);
+  const Bdd got = m.vectorCompose(f, map);
+  ASSERT_EQ(m.faultsInjected(), 1U);
+  ASSERT_GT(m.levelOfVar(1), level_before);  // the rerun saw x1 deeper
+  m.setFaultPlan(fp);
+  std::vector<unsigned> perm(12);
+  for (unsigned v = 0; v < 12; ++v) perm[v] = (v + 6) % 12;
+  const Bdd renamed = m.permute(got, perm);
+  ASSERT_EQ(m.faultsInjected(), 1U);
+  const Bdd want_renamed = plain.permute(want, perm);
+  std::vector<bool> x(12);
+  for (std::uint32_t a = 0; a < 4096; ++a) {
+    for (unsigned j = 0; j < 12; ++j) x[j] = ((a >> j) & 1U) != 0;
+    ASSERT_EQ(m.eval(got, x), plain.eval(want, x)) << "assignment " << a;
+    ASSERT_EQ(m.eval(renamed, x), plain.eval(want_renamed, x))
+        << "assignment " << a;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level behavior: kMemOut folds and the tight-budget rescue suite.
 // ---------------------------------------------------------------------------
