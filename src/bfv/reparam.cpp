@@ -26,8 +26,12 @@
 //    kSupportCost schedule reads them in O(1) instead of recounting inside
 //    its O(pending × n) cost loop. After an automatic reorder they can be
 //    stale until the component next changes; they only steer the heuristic;
-//  * the BFV slice union is the region-split §2.3 core (union.cpp): one
-//    cofactor2 walk per differing operand component and a handful of ITEs.
+//  * the BFV slice union is the region-split §2.3 core (union.cpp), which
+//    walks no cofactors: per differing component one XOR and at most three
+//    ITEs give h_i, and fx | (h_i ^ f_i), gx | (h_i ^ g_i) update the
+//    exclusions (skipped at the last differing component, since nothing
+//    reads them). That update is exact only because every parameter slice
+//    stays canonical (f_i|v=0 <= f_i|v=1).
 //
 // The loop is shared with the conjunctive-decomposition backend
 // (cdec::reparameterizeCdec), which plugs in its constrain-based union.

@@ -16,13 +16,25 @@
 // of three known functions:
 //   fx         -> g_i (only G can still supply the vector)
 //   gx         -> f_i (only F can)
-//   neither    -> ITE(v_i, f_i | g_i, f_i & g_i)
-//                 (forced 1 where both force 1, forced 0 where both force 0,
-//                 free otherwise)
-// and the exclusion update "chose against the operand's forced value" is
-// ITE(h_i, forced0, forced1). Equal components need no work at all: the
-// result is the shared function and neither exclusion grows (a canonical
-// component never chooses against its own forced values).
+//   neither    -> ITE(f_i ^ g_i, v_i, f_i)
+//                 (the shared value where f_i and g_i agree; free where they
+//                 differ, which is where one of them is free or the two
+//                 force opposite bits)
+//
+// The exclusion update "chose against F's forced value" is
+// fx | (h_i ^ f_i), and likewise for G. This holds because the operands are
+// (slice-)canonical: f_i = f1 | fc & v_i with f1 (forced 1), fc (free) and
+// f0 (forced 0) a partition of the prefix space. Where F forces b, f_i = b,
+// and choosing against it is h_i != b, i.e. h_i ^ f_i. Where F is free,
+// f_i = v_i, and outside fx so is h_i: in the gx region h_i = f_i, and in
+// the neither region h_i = v_i wherever f_i = v_i. There h_i ^ f_i = 0, as
+// it must be. Inside fx the OR absorbs whatever the term says. So the
+// update reads no cofactor of f_i, only f_i itself.
+//
+// Equal components need no work at all: the result is the shared function
+// and neither exclusion grows (a canonical component never chooses against
+// its own forced values). Past the last differing component nothing reads
+// the exclusions, so the last differing component does not update them.
 #include "bfv/internal.hpp"
 
 namespace bfvr::bfv {
@@ -32,24 +44,19 @@ namespace internal {
 std::vector<Bdd> unionCore(Manager& m, const std::vector<unsigned>& vars,
                            const std::vector<Bdd>& f,
                            const std::vector<Bdd>& g) {
-  const std::size_t n = vars.size();
-  std::vector<Bdd> h(n);
+  std::size_t last = vars.size();  // one past the last differing component
+  while (last > 0 && f[last - 1] == g[last - 1]) --last;
+  std::vector<Bdd> h = f;  // equal components keep the shared function
   Bdd fx = m.zero();  // F excluded by the choices made so far
   Bdd gx = m.zero();  // G excluded by the choices made so far
-  for (std::size_t i = 0; i < n; ++i) {
-    if (f[i] == g[i]) {
-      h[i] = f[i];
-      continue;
-    }
-    h[i] = m.ite(m.var(vars[i]), f[i] | g[i], f[i] & g[i]);
+  for (std::size_t i = 0; i < last; ++i) {
+    if (f[i] == g[i]) continue;
+    h[i] = m.ite(f[i] ^ g[i], m.var(vars[i]), f[i]);
     if (!gx.isFalse()) h[i] = m.ite(gx, f[i], h[i]);
     if (!fx.isFalse()) h[i] = m.ite(fx, g[i], h[i]);
-    // f_i = f1 | fc & v_i  =>  f_i|v=0 = f1 (forced 1), ~(f_i|v=1) = f0
-    // (forced 0); one cofactor2 walk gives both.
-    const auto [f_lo, f_hi] = m.cofactor2(f[i], vars[i]);
-    const auto [g_lo, g_hi] = m.cofactor2(g[i], vars[i]);
-    fx = fx | m.ite(h[i], ~f_hi, f_lo);
-    gx = gx | m.ite(h[i], ~g_hi, g_lo);
+    if (i + 1 == last) break;  // no later component reads fx or gx
+    fx = fx | (h[i] ^ f[i]);
+    gx = gx | (h[i] ^ g[i]);
   }
   return h;
 }

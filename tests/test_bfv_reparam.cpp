@@ -5,7 +5,7 @@
 #include <string>
 
 #include "bfv/internal.hpp"
-#include "circuit/bench_io.hpp"
+#include "run/run.hpp"
 #include "support/brute.hpp"
 #include "support/reference_union.hpp"
 #include "sym/simulate.hpp"
@@ -211,10 +211,14 @@ std::vector<Bdd> referenceQuantifyParams(Manager& m, std::vector<Bdd> cur,
 
 // Every slice pair quantifyParams hands its union: operands that still
 // depend on the parameters not yet quantified, which UnionSweep's operands
-// (canonical vectors over the choice variables alone) never do.
+// (canonical vectors over the choice variables alone) never do. An
+// exclusion condition is read only past the first component where the
+// operands differ, so only pairs that differ in two or more components
+// test the exclusion updates.
 struct SlicePairs {
   std::size_t calls = 0;
   std::size_t param_dependent = 0;
+  std::size_t multi_diff = 0;
   std::vector<unsigned> choice;  // sorted
 };
 SlicePairs g_slice_pairs;
@@ -242,6 +246,9 @@ std::vector<Bdd> checkedUnionCore(Manager& m, const std::vector<unsigned>& vars,
       !dependsOnlyOn(m, g, g_slice_pairs.choice)) {
     ++g_slice_pairs.param_dependent;
   }
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < f.size(); ++i) differing += f[i] != g[i];
+  if (differing >= 2) ++g_slice_pairs.multi_diff;
   EXPECT_EQ(got, want) << "slice pair " << g_slice_pairs.calls;
   return got;
 }
@@ -249,8 +256,10 @@ std::vector<Bdd> checkedUnionCore(Manager& m, const std::vector<unsigned>& vars,
 class ReparamCircuitDiff : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ReparamCircuitDiff, BitIdenticalToPreOverhaulLoop) {
-  const circuit::Netlist n =
-      circuit::parseBenchFile(std::string(BFVR_DATA_DIR) + "/" + GetParam());
+  const std::string spec = GetParam();
+  const circuit::Netlist n = run::resolveCircuit(
+      spec.rfind("gen:", 0) == 0 ? spec
+                                 : std::string(BFVR_DATA_DIR) + "/" + spec);
   Manager m(0);
   sym::StateSpace s(m, n,
                     circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
@@ -261,13 +270,15 @@ TEST_P(ReparamCircuitDiff, BitIdenticalToPreOverhaulLoop) {
   g_slice_pairs.choice = s.paramVars();
   std::sort(g_slice_pairs.choice.begin(), g_slice_pairs.choice.end());
 
-  // Walk a few image steps of the Fig. 2 flow; at each step compare the
-  // rewritten quantification loop against the reference on the raw
-  // simulated vector, and its union core against the reference core on
-  // every slice pair. Same manager, deterministic kernels: identical
-  // handles, not just identical sets.
+  // Walk up to ten image steps of the Fig. 2 flow; at each step compare
+  // the rewritten quantification loop against the reference on the raw
+  // simulated vector, its union core against the reference core on every
+  // slice pair, and the step's reached-set union against the reference
+  // core too. Same manager, deterministic kernels: identical handles, not
+  // just identical sets. (crc8 unions no slices that differ in two
+  // components within its first three steps.)
   Bfv from = Bfv::point(m, s.currentVars(), s.initialBits());
-  for (int iter = 0; iter < 3; ++iter) {
+  for (int iter = 0; iter < 10; ++iter) {
     const sym::SimResult sim = sym::simulate(s, from.comps());
     for (const QuantSchedule sched :
          {QuantSchedule::kStaticOrder, QuantSchedule::kSupportCost}) {
@@ -295,15 +306,20 @@ TEST_P(ReparamCircuitDiff, BitIdenticalToPreOverhaulLoop) {
     const Bfv img = Bfv::fromComponents(m, s.currentVars(),
                                         std::move(renamed), /*trusted=*/true);
     const Bfv next = setUnion(from, img);
+    EXPECT_EQ(next.comps(), test::referenceUnionCore(m, s.currentVars(),
+                                                     from.comps(), img.comps()))
+        << spec << " iter " << iter << ": reached-set union differs";
     if (next == from) break;
     from = next;
     m.maybeGc();
   }
   // arb4's one image is a constant vector (its fixpoint takes one step), so
   // nothing reaches the union there; every other circuit must exercise
-  // parameter-dependent operands.
-  if (std::string(GetParam()) != "arb4.bench") {
-    EXPECT_GT(g_slice_pairs.param_dependent, 0U) << GetParam();
+  // parameter-dependent operands and exclusions that a later component
+  // reads.
+  if (spec != "arb4.bench") {
+    EXPECT_GT(g_slice_pairs.param_dependent, 0U) << spec;
+    EXPECT_GT(g_slice_pairs.multi_diff, 0U) << spec;
   }
 }
 
@@ -311,6 +327,12 @@ INSTANTIATE_TEST_SUITE_P(Shipped, ReparamCircuitDiff,
                          ::testing::Values("arb4.bench", "cnt8m200.bench",
                                            "crc8.bench", "fifo3.bench",
                                            "johnson8.bench", "twin6.bench"));
+
+// Generated circuits whose slice pairs differ in many components, so the
+// exclusion conditions grow over long chains of choices.
+INSTANTIATE_TEST_SUITE_P(Generated, ReparamCircuitDiff,
+                         ::testing::Values("gen:random:14:4:80:11",
+                                           "gen:lfsr:8"));
 
 }  // namespace
 }  // namespace bfvr::bfv

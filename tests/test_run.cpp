@@ -20,6 +20,7 @@
 #include "run/manifest.hpp"
 #include "run/run.hpp"
 #include "support/brute.hpp"
+#include "support/fault_points.hpp"
 #include "support/process_dir.hpp"
 #include "sym/simulate.hpp"
 #include "sym/space.hpp"
@@ -494,7 +495,7 @@ TEST(RunFaults, InjectedAllocationFailureFoldsToMemOut) {
   JobSpec spec;
   spec.circuit = "gen:counter:8:200";
   spec.engine = EngineKind::kBfv;
-  spec.faults.alloc_failures = {2000};  // mid-run, well past setup
+  spec.faults.alloc_failures = {test::kCounter8m200MidRunAlloc};
   const JobResult r = executeJob(spec);
   ASSERT_EQ(r.status, RunStatus::kMemOut);
   EXPECT_NE(r.message.find("injected"), std::string::npos) << r.message;
@@ -510,7 +511,7 @@ TEST(RunFaults, WorkerSurvivesInjectedFaultsAndRunsTheNextJob) {
   JobSpec crash;
   crash.circuit = "gen:counter:8:200";
   crash.engine = EngineKind::kBfv;
-  crash.faults.alloc_failures = {2000};
+  crash.faults.alloc_failures = {test::kCounter8m200MidRunAlloc};
   std::future<JobResult> f1 = pool.submit(crash);
 
   JobSpec interrupt;  // spurious interrupt at a GC/poll boundary

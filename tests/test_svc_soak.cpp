@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/fault_points.hpp"
 #include "support/process_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
@@ -209,7 +210,8 @@ TEST(SvcSoak, MultiTenantFairnessEvictionAndCleanShutdown) {
   {
     Client client("unix:" + sock, "fault");
     const std::uint64_t tag =
-        client.submit("circuit=gen:counter:8:200 fault-allocs=2000");
+        client.submit("circuit=gen:counter:8:200 fault-allocs=" +
+                      std::to_string(test::kCounter8m200MidRunAlloc));
     std::optional<std::uint64_t> job = client.awaitAdmission(tag);
     ASSERT_TRUE(job.has_value());
     const JobDone done = client.awaitDone(*job);
