@@ -1,7 +1,6 @@
 #include "io/checkpoint.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -13,55 +12,12 @@ namespace bfvr::io {
 namespace {
 
 constexpr char kMagic[8] = {'B', 'F', 'V', 'R', 'C', 'K', 'P', 'T'};
-
-// ---------------------------------------------------------------------------
-// Little-endian byte buffer
-// ---------------------------------------------------------------------------
-
-void put8(std::vector<std::uint8_t>& b, std::uint8_t v) { b.push_back(v); }
-
-void put32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-/// Bounds-checked cursor over the payload; every malformed-input path is an
-/// io::Error, never undefined behaviour.
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t pos = 0;
-
-  void need(std::size_t k) const {
-    if (n - pos < k) throw Error("checkpoint: truncated payload");
-  }
-  std::uint8_t get8() {
-    need(1);
-    return p[pos++];
-  }
-  std::uint32_t get32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[pos++]} << (8 * i);
-    return v;
-  }
-  std::uint64_t get64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[pos++]} << (8 * i);
-    return v;
-  }
-  std::string getStr() {
-    const std::size_t len = get8();
-    need(len);
-    std::string s(reinterpret_cast<const char*>(p + pos), len);
-    pos += len;
-    return s;
-  }
-};
+constexpr std::size_t kHeaderBytes = 24;  // magic, version, CRC, size
+// Encoded sizes of the counted payload items: a variable index, a node
+// (var, high edge, low edge) and a root edge.
+constexpr std::size_t kVarBytes = 4;
+constexpr std::size_t kNodeBytes = 4 + 8 + 8;
+constexpr std::size_t kEdgeBytes = 8;
 
 // ---------------------------------------------------------------------------
 // Shared-DAG encoder: dense topological ids, children before parents,
@@ -129,40 +85,15 @@ class DagEncoder {
   std::vector<NodeRec> nodes_;
 };
 
-void putRoots(std::vector<std::uint8_t>& buf, DagEncoder& enc,
-              const std::vector<Bdd>& roots) {
-  put32(buf, static_cast<std::uint32_t>(roots.size()));
+void putRoots(Writer& w, DagEncoder& enc, const std::vector<Bdd>& roots) {
+  w.u32(static_cast<std::uint32_t>(roots.size()));
   for (const Bdd& b : roots) {
     if (b.isNull()) throw Error("checkpoint: null root");
-    put64(buf, enc.encode(b));
+    w.u64(enc.encode(b));
   }
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320)
-// ---------------------------------------------------------------------------
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n,
-                    std::uint32_t seed) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = seed ^ 0xFFFFFFFFU;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFU] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFU;
-}
 
 // ---------------------------------------------------------------------------
 // save / load
@@ -180,39 +111,40 @@ std::vector<std::uint8_t> encode(const Checkpoint& c) {
     }
   }
 
-  std::vector<std::uint8_t> payload;
-  put8(payload, static_cast<std::uint8_t>(c.engine.size()));
-  payload.insert(payload.end(), c.engine.begin(), c.engine.end());
-  put8(payload, static_cast<std::uint8_t>(c.kind));
-  put8(payload, c.reached_empty ? 1 : 0);
-  put8(payload, c.frontier_empty ? 1 : 0);
-  put32(payload, c.iteration);
-  put32(payload, static_cast<std::uint32_t>(c.level2var.size()));
-  for (const unsigned v : c.level2var) put32(payload, v);
-  put32(payload, static_cast<std::uint32_t>(c.choice_vars.size()));
-  for (const unsigned v : c.choice_vars) put32(payload, v);
+  Writer payload;
+  payload.u8(static_cast<std::uint8_t>(c.engine.size()));
+  payload.raw(c.engine.data(), c.engine.size());
+  payload.u8(static_cast<std::uint8_t>(c.kind));
+  payload.u8(c.reached_empty ? 1 : 0);
+  payload.u8(c.frontier_empty ? 1 : 0);
+  payload.u32(c.iteration);
+  payload.u32(static_cast<std::uint32_t>(c.level2var.size()));
+  for (const unsigned v : c.level2var) payload.u32(v);
+  payload.u32(static_cast<std::uint32_t>(c.choice_vars.size()));
+  for (const unsigned v : c.choice_vars) payload.u32(v);
 
   // Encode the roots first into a scratch buffer: the node table they
   // reference must precede them in the payload (decode is single-pass).
   DagEncoder enc;
-  std::vector<std::uint8_t> roots_buf;
-  putRoots(roots_buf, enc, c.reached);
-  putRoots(roots_buf, enc, c.frontier);
-  put64(payload, enc.nodes().size());
+  Writer roots;
+  putRoots(roots, enc, c.reached);
+  putRoots(roots, enc, c.frontier);
+  payload.u64(enc.nodes().size());
   for (const NodeRec& n : enc.nodes()) {
-    put32(payload, n.var);
-    put64(payload, n.hi);
-    put64(payload, n.lo);
+    payload.u32(n.var);
+    payload.u64(n.hi);
+    payload.u64(n.lo);
   }
-  payload.insert(payload.end(), roots_buf.begin(), roots_buf.end());
+  payload.raw(roots.buf.data(), roots.buf.size());
 
-  std::vector<std::uint8_t> file;
-  file.insert(file.end(), kMagic, kMagic + sizeof(kMagic));
-  put32(file, kCheckpointVersion);
-  put32(file, crc32(payload.data(), payload.size()));
-  put64(file, payload.size());
-  file.insert(file.end(), payload.begin(), payload.end());
-  return file;
+  Writer file;
+  file.buf.reserve(kHeaderBytes + payload.buf.size());
+  file.raw(kMagic, sizeof(kMagic));
+  file.u32(kCheckpointVersion);
+  file.u32(crc32(payload.buf.data(), payload.buf.size()));
+  file.u64(payload.buf.size());
+  file.raw(payload.buf.data(), payload.buf.size());
+  return std::move(file.buf);
 }
 
 void save(const std::string& path, const Checkpoint& c) {
@@ -235,40 +167,44 @@ void save(const std::string& path, const Checkpoint& c) {
 }
 
 Checkpoint decode(const std::uint8_t* data, std::size_t n, Manager& m) {
-  if (n < 24) throw Error("checkpoint: file too short");
-  if (!std::equal(kMagic, kMagic + sizeof(kMagic), data)) {
+  if (n < kHeaderBytes) throw Error("checkpoint: file too short");
+  Reader<Error> hdr(data, kHeaderBytes);
+  if (!std::equal(kMagic, kMagic + sizeof(kMagic), hdr.raw(sizeof(kMagic)))) {
     throw Error("checkpoint: bad magic");
   }
-  Reader hdr{data + 8, n - 8};
-  const std::uint32_t version = hdr.get32();
+  const std::uint32_t version = hdr.u32();
   if (version != kCheckpointVersion) {
     throw Error("checkpoint: unsupported version " + std::to_string(version));
   }
-  const std::uint32_t want_crc = hdr.get32();
-  const std::uint64_t payload_size = hdr.get64();
-  if (payload_size != n - 24) {
+  const std::uint32_t want_crc = hdr.u32();
+  const std::uint64_t payload_size = hdr.u64();
+  if (payload_size != n - kHeaderBytes) {
     throw Error("checkpoint: payload size mismatch");
   }
-  const std::uint8_t* payload = data + 24;
+  const std::uint8_t* payload = data + kHeaderBytes;
   if (crc32(payload, payload_size) != want_crc) {
     throw Error("checkpoint: CRC mismatch (corrupt file)");
   }
 
-  Reader r{payload, payload_size};
+  // Every count below is checked against the bytes left before anything is
+  // sized by it: a CRC-valid file with a forged count is an io::Error, not
+  // an allocation of gigabytes.
+  Reader<Error> r(payload, payload_size);
   Checkpoint c;
-  c.engine = r.getStr();
-  const std::uint8_t kind = r.get8();
+  const std::uint8_t tag_len = r.u8();
+  c.engine.assign(reinterpret_cast<const char*>(r.raw(tag_len)), tag_len);
+  const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(RootKind::kCdec)) {
     throw Error("checkpoint: unknown root kind");
   }
   c.kind = static_cast<RootKind>(kind);
-  c.reached_empty = r.get8() != 0;
-  c.frontier_empty = r.get8() != 0;
-  c.iteration = r.get32();
-  c.level2var.resize(r.get32());
-  for (unsigned& v : c.level2var) v = r.get32();
-  c.choice_vars.resize(r.get32());
-  for (unsigned& v : c.choice_vars) v = r.get32();
+  c.reached_empty = r.u8() != 0;
+  c.frontier_empty = r.u8() != 0;
+  c.iteration = r.u32();
+  c.level2var.resize(r.count(r.u32(), kVarBytes));
+  for (unsigned& v : c.level2var) v = r.u32();
+  c.choice_vars.resize(r.count(r.u32(), kVarBytes));
+  for (unsigned& v : c.choice_vars) v = r.u32();
 
   if (c.level2var.size() != m.numVars()) {
     throw Error("checkpoint: variable count mismatch (file " +
@@ -280,7 +216,7 @@ Checkpoint decode(const std::uint8_t* data, std::size_t n, Manager& m) {
   // the resumed fixpoint bit-identical.
   m.setVarOrder(c.level2var);
 
-  const std::uint64_t node_count = r.get64();
+  const std::size_t node_count = r.count(r.u64(), kNodeBytes);
   std::vector<Bdd> table;
   table.reserve(node_count);
   const auto resolve = [&](std::uint64_t e) -> Bdd {
@@ -289,23 +225,23 @@ Checkpoint decode(const std::uint8_t* data, std::size_t n, Manager& m) {
     Bdd b = id == 0 ? m.one() : table[id - 1];
     return (e & 1U) != 0 ? ~b : b;
   };
-  for (std::uint64_t i = 0; i < node_count; ++i) {
-    const std::uint32_t var = r.get32();
+  for (std::size_t i = 0; i < node_count; ++i) {
+    const std::uint32_t var = r.u32();
     if (var >= m.numVars()) throw Error("checkpoint: variable out of range");
-    const Bdd hi = resolve(r.get64());
-    const Bdd lo = resolve(r.get64());
+    const Bdd hi = resolve(r.u64());
+    const Bdd lo = resolve(r.u64());
     // ite(v, hi, lo) re-interns exactly the saved node (the order matches,
     // so v sits above hi/lo); a corrupt-but-CRC-valid file still only ever
     // produces some canonical BDD, never an invalid one.
     table.push_back(m.ite(m.var(var), hi, lo));
   }
   const auto readRoots = [&](std::vector<Bdd>& out) {
-    out.resize(r.get32());
-    for (Bdd& b : out) b = resolve(r.get64());
+    out.resize(r.count(r.u32(), kEdgeBytes));
+    for (Bdd& b : out) b = resolve(r.u64());
   };
   readRoots(c.reached);
   readRoots(c.frontier);
-  if (r.pos != r.n) throw Error("checkpoint: trailing bytes");
+  if (r.left() != 0) throw Error("checkpoint: trailing bytes");
   return c;
 }
 

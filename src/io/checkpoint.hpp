@@ -7,7 +7,8 @@
 // from) pair and the variable order, both of which the file captures
 // exactly.
 //
-// File layout (all integers little-endian):
+// File layout, written and read through the io/bytes.hpp codec (all
+// integers little-endian):
 //
 //   offset size  field
 //   0      8     magic "BFVRCKPT"
@@ -16,11 +17,14 @@
 //   16     8     payload byte count
 //   24     ...   payload
 //
-// Payload: engine tag, root kind, iteration, variable order (level -> var),
-// choice variables, then the shared DAG as a dense topologically-ordered
-// node table — children strictly precede parents, id 0 is the terminal —
-// with edges encoded as (id << 1) | complement_bit. Roots for the reached
-// set and the frontier are edge lists into that table.
+// Payload: engine tag (one length byte), root kind, two empty-set flags,
+// iteration, variable order (level -> var), choice variables, then the
+// shared DAG as a dense topologically-ordered node table — children
+// strictly precede parents, id 0 is the terminal — with edges encoded as
+// (id << 1) | complement_bit. Roots for the reached set and the frontier
+// are edge lists into that table. Each list is preceded by its count, and
+// decode checks every count against the bytes left before it sizes
+// anything by it.
 //
 // Writes are atomic: the bytes go to "<path>.tmp" which is renamed over the
 // destination only after a successful close, so a crash mid-write never
@@ -33,6 +37,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "io/bytes.hpp"
 
 namespace bfvr::io {
 
@@ -45,6 +50,7 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// magic, version mismatch, CRC mismatch, or a malformed payload.
 struct Error : std::runtime_error {
   using std::runtime_error::runtime_error;
+  static constexpr const char* kFormat = "checkpoint";  ///< Reader messages
 };
 
 /// What kind of state-set representation the roots encode.
@@ -89,9 +95,5 @@ void save(const std::string& path, const Checkpoint& c);
 /// Read `path` and decode() it. Throws io::Error on any mismatch or
 /// malformed input.
 Checkpoint load(const std::string& path, Manager& m);
-
-/// CRC-32 (IEEE 802.3, reflected) — exposed for tests and tooling.
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n,
-                    std::uint32_t seed = 0);
 
 }  // namespace bfvr::io

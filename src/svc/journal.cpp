@@ -9,13 +9,13 @@
 #include <cstdio>
 #include <cstring>
 
-#include "io/checkpoint.hpp"
+#include "io/bytes.hpp"
 
 namespace bfvr::svc {
 
 namespace {
 
-constexpr char kJournalMagic[4] = {'B', 'F', 'V', 'J'};
+constexpr std::uint32_t kJournalMagic = 0x4A564642u;  // "BFVJ" little-endian
 
 std::string errnoText(const std::string& what) {
   return what + ": " + std::strerror(errno);
@@ -98,48 +98,29 @@ std::vector<std::uint8_t> Journal::encodeRecord(const JournalRecord& rec) {
   if (w.buf.size() > kMaxFramePayload) {
     throw Error("journal: record payload too large");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(kJournalHeaderBytes + w.buf.size());
-  out.insert(out.end(), kJournalMagic, kJournalMagic + 4);
-  out.push_back(kJournalVersion);
-  out.push_back(static_cast<std::uint8_t>(rec.event));
-  out.push_back(0);
-  out.push_back(0);
-  const std::uint32_t len = static_cast<std::uint32_t>(w.buf.size());
-  const std::uint32_t crc = io::crc32(w.buf.data(), w.buf.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  out.insert(out.end(), w.buf.begin(), w.buf.end());
-  return out;
+  return io::encodeRecord(kJournalMagic, kJournalVersion,
+                          static_cast<std::uint8_t>(rec.event), w.buf);
 }
 
 std::size_t Journal::decodeRecord(const std::uint8_t* p, std::size_t n,
                                   JournalRecord* out) {
-  if (n < kJournalHeaderBytes) return 0;
-  if (std::memcmp(p, kJournalMagic, 4) != 0) return 0;
-  if (p[4] != kJournalVersion) return 0;
-  const std::uint8_t event = p[5];
-  if (event < static_cast<std::uint8_t>(JournalEvent::kAccepted) ||
-      event > static_cast<std::uint8_t>(JournalEvent::kDone)) {
+  // Any fault ends the valid prefix: a bad header, an unknown event, a
+  // record torn mid-payload, a CRC mismatch.
+  io::RecordHeader h;
+  if (n < kJournalHeaderBytes ||
+      io::decodeRecordHeader(p, kJournalMagic, kJournalVersion, &h) !=
+          io::HeaderFault::kNone ||
+      h.type < static_cast<std::uint8_t>(JournalEvent::kAccepted) ||
+      h.type > static_cast<std::uint8_t>(JournalEvent::kDone) ||
+      n - kJournalHeaderBytes < h.length) {
     return 0;
   }
-  if (p[6] != 0 || p[7] != 0) return 0;
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t{p[8 + i]} << (8 * i);
-  for (int i = 0; i < 4; ++i) crc |= std::uint32_t{p[12 + i]} << (8 * i);
-  if (len > kMaxFramePayload) return 0;
-  if (n - kJournalHeaderBytes < len) return 0;  // torn mid-payload
   const std::uint8_t* payload = p + kJournalHeaderBytes;
-  if (io::crc32(payload, len) != crc) return 0;
+  if (io::crc32(payload, h.length) != h.crc) return 0;
   try {
-    Reader r(payload, len);
+    Reader r(payload, h.length);
     JournalRecord rec;
-    rec.event = static_cast<JournalEvent>(event);
+    rec.event = static_cast<JournalEvent>(h.type);
     rec.job = r.u64();
     rec.tenant = r.str();
     rec.idem = r.str();
@@ -154,7 +135,7 @@ std::size_t Journal::decodeRecord(const std::uint8_t* p, std::size_t n,
   } catch (const Error&) {
     return 0;  // CRC-valid but structurally wrong: treat as end of log
   }
-  return kJournalHeaderBytes + len;
+  return kJournalHeaderBytes + h.length;
 }
 
 Journal::Journal(std::string dir, FsyncPolicy policy)

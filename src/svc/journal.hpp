@@ -4,8 +4,9 @@
 // non-terminal job and answer duplicate submissions without re-executing
 // them.
 //
-// Record layout (all integers little-endian), mirroring the wire frame and
-// checkpoint header discipline:
+// Record layout: the 16-byte record header of the io/bytes.hpp codec, the
+// one the wire frames use, with this format's magic and version (all
+// integers little-endian):
 //
 //   offset size  field
 //   0      4     magic "BFVJ"
@@ -14,14 +15,17 @@
 //   6      2     reserved, must be 0
 //   8      4     payload byte count (<= wire kMaxFramePayload)
 //   12     4     CRC-32 (IEEE 802.3) of the payload bytes
-//   16     ...   payload (wire::Writer field encoding, fixed field order)
+//   16     ...   payload (the codec's Writer field encoding, fixed order;
+//                its Reader checks each string length against the bytes
+//                left)
 //
 // Recovery contract: on open the whole file is scanned record by record;
-// the first malformed point — bad magic, unknown version/event, oversized
-// length, CRC mismatch, or a record cut short by the crash — ends the
-// valid prefix, and the file is truncated back to it (a torn tail is
-// expected after kill -9 mid-append, never an error). Replayed records are
-// handed to the server in append order; last transition per job wins.
+// the first malformed point — bad magic, unknown version/event, nonzero
+// reserved bytes, oversized length, CRC mismatch, a payload the codec's
+// Reader rejects, or a record cut short by the crash — ends the valid
+// prefix, and the file is truncated back to it (a torn tail is expected
+// after kill -9 mid-append, never an error). Replayed records are handed
+// to the server in append order; last transition per job wins.
 //
 // Durability knob (FsyncPolicy): `always` fsyncs after every append,
 // `batch` only after the transitions that change what a restart must do
@@ -41,7 +45,7 @@
 namespace bfvr::svc {
 
 inline constexpr std::uint8_t kJournalVersion = 1;
-inline constexpr std::size_t kJournalHeaderBytes = 16;
+inline constexpr std::size_t kJournalHeaderBytes = io::kRecordHeaderBytes;
 
 /// Job lifecycle transitions worth surviving a crash.
 enum class JournalEvent : std::uint8_t {

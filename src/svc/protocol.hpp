@@ -1,8 +1,8 @@
 // Typed messages of the reachability-service protocol: one struct per
 // FrameType, each with an encode() to a Frame and a decode() from one.
-// Encodings are explicit field-by-field little-endian (see wire.hpp for the
-// primitive codec); decode validates exhaustively and throws svc::Error on
-// any malformed payload.
+// Encodings are explicit field-by-field little-endian (see io/bytes.hpp for
+// the primitive codec); decode validates exhaustively and throws svc::Error
+// on any malformed payload.
 //
 // Session flow:
 //

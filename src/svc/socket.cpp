@@ -83,63 +83,39 @@ double monoSeconds() {
       .count();
 }
 
-/// Block until `fd` is readable or the absolute monotonic deadline passes
-/// (0 = no deadline). Returns false on deadline expiry.
+/// Block until `fd` is readable or the absolute monotonic `deadline`
+/// passes. Returns false on deadline expiry.
 bool waitReadable(int fd, double deadline) {
   for (;;) {
-    int timeout_ms = -1;
-    if (deadline > 0.0) {
-      const double left = deadline - monoSeconds();
-      if (left <= 0.0) return false;
-      // +1 rounds up so a sub-millisecond remainder still sleeps instead
-      // of spinning.
-      timeout_ms = static_cast<int>(std::min(left * 1000.0 + 1.0, 3.6e6));
-    }
+    const double left = deadline - monoSeconds();
+    if (left <= 0.0) return false;
     pollfd pfd{};
     pfd.fd = fd;
     pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, timeout_ms);
+    // +1 rounds up so a sub-millisecond remainder still sleeps instead of
+    // spinning.
+    const int rc =
+        ::poll(&pfd, 1, static_cast<int>(std::min(left * 1000.0 + 1.0, 3.6e6)));
     if (rc > 0) return true;  // readable, EOF, or error: recv resolves it
-    if (rc == 0) {
-      if (deadline <= 0.0) continue;  // spurious zero without a deadline
-      continue;  // re-check the clock at the top of the loop
-    }
-    if (errno == EINTR) continue;
-    throw Error(errnoText("wire: poll failed"));
+    if (rc < 0 && errno != EINTR) throw Error(errnoText("wire: poll failed"));
+    // Timed out or interrupted: re-check the clock at the top of the loop.
   }
 }
 
-/// Read exactly `n` bytes. Returns false on EOF *before the first byte*
-/// (clean close); throws on EOF after a partial read (truncated frame).
-bool readAll(int fd, std::uint8_t* p, std::size_t n) {
+/// Read exactly `n` bytes. Before each recv, waits for input until the
+/// absolute monotonic `deadline`; 0 means no deadline and no poll(2) call.
+/// Returns false on EOF before the first byte of a frame (`frame_start`):
+/// an orderly close. Throws Timeout past the deadline, idle when no byte of
+/// the frame has arrived yet, and Error on EOF mid-frame or a failed recv.
+bool readAll(int fd, std::uint8_t* p, std::size_t n, double deadline,
+             bool frame_start) {
   std::size_t got = 0;
   while (got < n) {
-    const ssize_t k = ::recv(fd, p + got, n - got, 0);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      throw Error(errnoText("wire: recv failed"));
-    }
-    if (k == 0) {
-      if (got == 0) return false;
-      throw Error("wire: connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-/// Deadline-aware readAll: polls before every recv. `*deadline` is the
-/// absolute limit (0 = none); `first_frame_byte` marks the read that
-/// starts a frame, whose expiry is the *idle* flavour of Timeout.
-bool readAllDeadline(int fd, std::uint8_t* p, std::size_t n, double deadline,
-                     bool first_frame_byte) {
-  std::size_t got = 0;
-  while (got < n) {
-    if (!waitReadable(fd, deadline)) {
-      throw Timeout(first_frame_byte && got == 0
-                        ? "wire: session idle past deadline"
-                        : "wire: frame stalled past deadline",
-                    first_frame_byte && got == 0);
+    if (deadline > 0.0 && !waitReadable(fd, deadline)) {
+      const bool idle = frame_start && got == 0;
+      throw Timeout(idle ? "wire: session idle past deadline"
+                         : "wire: frame stalled past deadline",
+                    idle);
     }
     const ssize_t k = ::recv(fd, p + got, n - got, 0);
     if (k < 0) {
@@ -147,12 +123,17 @@ bool readAllDeadline(int fd, std::uint8_t* p, std::size_t n, double deadline,
       throw Error(errnoText("wire: recv failed"));
     }
     if (k == 0) {
-      if (got == 0 && first_frame_byte) return false;
+      if (got == 0 && frame_start) return false;
       throw Error("wire: connection closed mid-frame");
     }
     got += static_cast<std::size_t>(k);
   }
   return true;
+}
+
+/// The absolute monotonic deadline `seconds` from now; 0 stays 0 (none).
+double deadlineIn(double seconds) {
+  return seconds > 0.0 ? monoSeconds() + seconds : 0.0;
 }
 
 }  // namespace
@@ -334,63 +315,27 @@ void sendFrame(const Fd& fd, const Frame& f) {
   wm.bytes_sent.inc(bytes.size());
 }
 
-std::optional<Frame> recvFrame(const Fd& fd) {
-  WireMetrics& wm = WireMetrics::get();
-  std::uint8_t header[kFrameHeaderBytes];
-  if (!readAll(fd.get(), header, sizeof(header))) return std::nullopt;
-  // The decode clock starts once the header has arrived: recvFrame blocks
-  // here for however long the peer stays idle, and that wait is not a
-  // decoding cost.
-  const Timer t;
-  try {
-    Frame f;
-    std::uint32_t crc = 0;
-    const std::uint32_t len = decodeFrameHeader(header, &f.type, &crc);
-    f.payload.resize(len);
-    if (len > 0 && !readAll(fd.get(), f.payload.data(), len)) {
-      throw Error("wire: connection closed mid-frame");
-    }
-    checkPayloadCrc(f.payload.data(), f.payload.size(), crc);
-    wm.decode_seconds.observeSeconds(t.seconds());
-    wm.frames_received.inc();
-    wm.bytes_received.inc(kFrameHeaderBytes + f.payload.size());
-    return f;
-  } catch (...) {
-    wm.errors.inc();
-    throw;
-  }
-}
-
 std::optional<Frame> recvFrame(const Fd& fd, const RecvDeadlines& deadlines) {
-  if (deadlines.idle_seconds <= 0.0 && deadlines.frame_seconds <= 0.0) {
-    return recvFrame(fd);  // no deadlines: the plain blocking path
-  }
   WireMetrics& wm = WireMetrics::get();
-  const double idle_deadline =
-      deadlines.idle_seconds > 0.0 ? monoSeconds() + deadlines.idle_seconds
-                                   : 0.0;
   std::uint8_t header[kFrameHeaderBytes];
   try {
     // The idle clock covers only the wait for byte 0; the moment a frame
     // starts, the (usually much shorter) frame clock takes over so a
     // peer trickling one byte per idle-window cannot hold the session.
-    if (!readAllDeadline(fd.get(), header, 1, idle_deadline, true)) {
+    if (!readAll(fd.get(), header, 1, deadlineIn(deadlines.idle_seconds),
+                 true)) {
       return std::nullopt;
     }
-    const double frame_deadline =
-        deadlines.frame_seconds > 0.0
-            ? monoSeconds() + deadlines.frame_seconds
-            : 0.0;
-    readAllDeadline(fd.get(), header + 1, sizeof(header) - 1, frame_deadline,
-                    false);
+    const double frame_deadline = deadlineIn(deadlines.frame_seconds);
+    readAll(fd.get(), header + 1, sizeof(header) - 1, frame_deadline, false);
+    // The decode clock starts once the header has arrived: the wait for a
+    // frame is not a decoding cost.
     const Timer t;
     Frame f;
     std::uint32_t crc = 0;
     const std::uint32_t len = decodeFrameHeader(header, &f.type, &crc);
     f.payload.resize(len);
-    if (len > 0) {
-      readAllDeadline(fd.get(), f.payload.data(), len, frame_deadline, false);
-    }
+    readAll(fd.get(), f.payload.data(), len, frame_deadline, false);
     checkPayloadCrc(f.payload.data(), f.payload.size(), crc);
     wm.decode_seconds.observeSeconds(t.seconds());
     wm.frames_received.inc();

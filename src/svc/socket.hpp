@@ -83,14 +83,13 @@ void sendFrame(const Fd& fd, const Frame& f);
 
 /// Read one whole frame. Returns nullopt on a clean EOF at a frame
 /// boundary (orderly close); throws svc::Error on EOF mid-frame, bad
-/// magic/version/length, or CRC mismatch.
-std::optional<Frame> recvFrame(const Fd& fd);
-
-/// Deadline-aware recvFrame: additionally throws svc::Timeout when the
-/// peer stays silent past `idle_seconds` or stalls a started frame past
-/// `frame_seconds` (poll-based, so a partial frame cannot pin the reader
-/// forever the way a blocking recv can).
-std::optional<Frame> recvFrame(const Fd& fd, const RecvDeadlines& deadlines);
+/// magic/version/length, or CRC mismatch. With deadlines it also throws
+/// svc::Timeout when the peer stays silent past `idle_seconds` or stalls a
+/// started frame past `frame_seconds` (poll-based, so a partial frame
+/// cannot pin the reader forever the way a blocking recv can); without
+/// them it blocks in recv and makes no poll(2) call.
+std::optional<Frame> recvFrame(const Fd& fd,
+                               const RecvDeadlines& deadlines = {});
 
 /// Whether `fd` polls writable right now (POLLOUT, 0-ms timeout). A peer
 /// that stopped reading turns this false once a share of the socket buffer

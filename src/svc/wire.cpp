@@ -1,95 +1,43 @@
 #include "svc/wire.hpp"
 
-#include <array>
-
 namespace bfvr::svc {
 
-namespace {
-
 constexpr std::uint32_t kWireMagic = 0x53564642u;  // "BFVS" little-endian
-
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same algorithm the
-// checkpoint format uses, so corruption detection is uniform across the
-// at-rest and on-the-wire encodings.
-std::array<std::uint32_t, 256> makeCrcTable() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[i] = c;
-  }
-  return t;
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> table = makeCrcTable();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t getU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encodeFrame(const Frame& f) {
   if (f.payload.size() > kMaxFramePayload) {
     throw Error("wire: frame payload exceeds the " +
                 std::to_string(kMaxFramePayload) + "-byte cap");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + f.payload.size());
-  putU32(out, kWireMagic);
-  out.push_back(kWireVersion);
-  out.push_back(static_cast<std::uint8_t>(f.type));
-  out.push_back(0);  // reserved
-  out.push_back(0);
-  putU32(out, static_cast<std::uint32_t>(f.payload.size()));
-  putU32(out, crc32(f.payload.data(), f.payload.size()));
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
-  return out;
+  return io::encodeRecord(kWireMagic, kWireVersion,
+                          static_cast<std::uint8_t>(f.type), f.payload);
 }
 
 std::uint32_t decodeFrameHeader(const std::uint8_t header[kFrameHeaderBytes],
                                 FrameType* type, std::uint32_t* crc) {
-  if (getU32(header) != kWireMagic) {
-    throw Error("wire: bad frame magic (not a BFVS stream)");
+  io::RecordHeader h;
+  switch (io::decodeRecordHeader(header, kWireMagic, kWireVersion, &h)) {
+    case io::HeaderFault::kNone:
+      break;
+    case io::HeaderFault::kMagic:
+      throw Error("wire: bad frame magic (not a BFVS stream)");
+    case io::HeaderFault::kVersion:
+      throw Error("wire: protocol version " + std::to_string(h.version) +
+                  " (this build speaks " + std::to_string(kWireVersion) + ")");
+    case io::HeaderFault::kReserved:
+      throw Error("wire: nonzero reserved header bits");
+    case io::HeaderFault::kLength:
+      throw Error("wire: oversized length prefix (" +
+                  std::to_string(h.length) + " bytes)");
   }
-  if (header[4] != kWireVersion) {
-    throw Error("wire: protocol version " + std::to_string(header[4]) +
-                " (this build speaks " + std::to_string(kWireVersion) + ")");
-  }
-  if (header[6] != 0 || header[7] != 0) {
-    throw Error("wire: nonzero reserved header bits");
-  }
-  const std::uint32_t len = getU32(header + 8);
-  if (len > kMaxFramePayload) {
-    throw Error("wire: oversized length prefix (" + std::to_string(len) +
-                " bytes)");
-  }
-  *type = static_cast<FrameType>(header[5]);
-  *crc = getU32(header + 12);
-  return len;
+  *type = static_cast<FrameType>(h.type);
+  *crc = h.crc;
+  return h.length;
 }
 
 void checkPayloadCrc(const std::uint8_t* payload, std::size_t n,
                      std::uint32_t want) {
-  const std::uint32_t got = crc32(payload, n);
-  if (got != want) {
+  if (io::crc32(payload, n) != want) {
     throw Error("wire: payload CRC mismatch (frame corrupted in transit)");
   }
 }

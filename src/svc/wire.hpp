@@ -1,8 +1,10 @@
 // Framed binary wire protocol of the reachability service (bfv_serve /
-// bfv_client): compact, self-described, length-prefixed frames with the
-// same versioned-magic + CRC discipline as the src/io checkpoint format.
+// bfv_client): compact, self-described, length-prefixed frames. Frames are
+// written and read through the one byte codec of io/bytes.hpp, which the
+// job journal and the checkpoints use too.
 //
-// Frame layout (all integers little-endian):
+// Frame layout: the codec's 16-byte record header (all integers
+// little-endian) with this format's magic and version:
 //
 //   offset size  field
 //   0      4     magic "BFVS"
@@ -15,18 +17,20 @@
 //
 // Every malformed input — bad magic, unknown version, oversized length
 // prefix, CRC mismatch, truncated payload, short read mid-frame — is a
-// svc::Error, never undefined behaviour and never a crash: the reader is a
-// bounds-checked cursor exactly like the checkpoint loader's. Frame
+// svc::Error, never undefined behaviour and never a crash: the payload
+// reader is the codec's bounds-checked cursor, which checks every length
+// and count against the bytes left before anything is sized by it. Frame
 // payloads are typed per FrameType (see protocol.hpp); a frame is
 // self-described by its (version, type) pair plus the explicit field
 // encodings, so either end can skip or reject frames it does not know.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "io/bytes.hpp"
 
 namespace bfvr::svc {
 
@@ -34,6 +38,7 @@ namespace bfvr::svc {
 /// skew, oversized payload, short read/write, or a broken connection.
 struct Error : std::runtime_error {
   using std::runtime_error::runtime_error;
+  static constexpr const char* kFormat = "wire";  ///< Reader messages
 };
 
 /// Protocol revision. v2 added observability: Accepted carries the
@@ -43,11 +48,9 @@ struct Error : std::runtime_error {
 /// a retried submission after a crash or disconnect can be deduplicated
 /// against the server's job journal instead of executing twice.
 inline constexpr std::uint8_t kWireVersion = 3;
-inline constexpr std::size_t kFrameHeaderBytes = 16;
-/// Hard ceiling on one frame's payload: large enough for any checkpoint
-/// image the shipped workloads produce, small enough that a corrupted (or
-/// hostile) length prefix cannot drive an allocation bomb.
-inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
+inline constexpr std::size_t kFrameHeaderBytes = io::kRecordHeaderBytes;
+/// Hard ceiling on one frame's payload: the codec's record cap.
+inline constexpr std::uint32_t kMaxFramePayload = io::kMaxRecordPayload;
 
 /// Frame types. Client->server frames are marked (c), server->client (s);
 /// a few flow both ways.
@@ -76,110 +79,10 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-// ---------------------------------------------------------------------------
-// Payload codec: little-endian, bounds-checked — the same discipline as the
-// checkpoint (de)serializer, with svc::Error as the failure mode.
-// ---------------------------------------------------------------------------
-
-/// Append-only payload builder.
-struct Writer {
-  std::vector<std::uint8_t> buf;
-
-  void u8(std::uint8_t v) { buf.push_back(v); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) {
-      buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  /// Length-prefixed (u32) byte string.
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf.insert(buf.end(), s.begin(), s.end());
-  }
-  void bytes(const std::vector<std::uint8_t>& b) {
-    u32(static_cast<std::uint32_t>(b.size()));
-    buf.insert(buf.end(), b.begin(), b.end());
-  }
-};
-
-/// Bounds-checked payload cursor; every malformed-input path is a
-/// svc::Error.
-struct Reader {
-  const std::uint8_t* p = nullptr;
-  std::size_t n = 0;
-  std::size_t pos = 0;
-
-  explicit Reader(const std::vector<std::uint8_t>& b)
-      : p(b.data()), n(b.size()) {}
-  Reader(const std::uint8_t* data, std::size_t size) : p(data), n(size) {}
-
-  void need(std::size_t k) const {
-    if (n - pos < k) throw Error("wire: truncated payload");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return p[pos++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= std::uint16_t{p[pos++]} << (8 * i);
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[pos++]} << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[pos++]} << (8 * i);
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    need(len);
-    std::string s(reinterpret_cast<const char*>(p + pos), len);
-    pos += len;
-    return s;
-  }
-  std::vector<std::uint8_t> bytes() {
-    const std::uint32_t len = u32();
-    need(len);
-    std::vector<std::uint8_t> b(p + pos, p + pos + len);
-    pos += len;
-    return b;
-  }
-  /// A payload must be consumed exactly; trailing bytes mean the two ends
-  /// disagree about the message layout.
-  void done() const {
-    if (pos != n) throw Error("wire: trailing bytes in payload");
-  }
-};
+/// Payload codec: the io/bytes.hpp builder and cursor, failing with
+/// svc::Error ("wire: ...").
+using Writer = io::Writer;
+using Reader = io::Reader<Error>;
 
 /// Serialize a frame: header (magic, version, type, length, CRC) + payload.
 /// Throws svc::Error when the payload exceeds kMaxFramePayload.

@@ -16,6 +16,8 @@
 #include "circuit/generators.hpp"
 #include "io/checkpoint.hpp"
 #include "reach/engine.hpp"
+#include "support/forge_count.hpp"
+#include "support/hex.hpp"
 #include "support/process_dir.hpp"
 
 #ifndef BFVR_DATA_DIR
@@ -260,6 +262,45 @@ TEST_F(CheckpointCorruption, EverySingleByteFlipIsRejected) {
   EXPECT_NO_THROW(decode(image.data(), image.size(), m));
 }
 
+// ---------------------------------------------------------------------------
+// Forged counts: a CRC-valid image whose count fields claim 2^30 items. The
+// decoder checks every count against the bytes left before it sizes a
+// vector by it, so each is an io::Error, never a std::bad_alloc or gigabytes
+// of zero-fill.
+// ---------------------------------------------------------------------------
+
+void expectForgedCountRejected(const std::vector<char>& file,
+                               test::CheckpointCount which) {
+  for (const std::uint64_t count :
+       {std::uint64_t{0x40000000}, ~std::uint64_t{0}}) {
+    std::vector<std::uint8_t> image(file.begin(), file.end());
+    test::forgeCount(image, which, count);
+    Manager m(4);
+    EXPECT_THROW(decode(image.data(), image.size(), m), Error)
+        << "count " << count;
+  }
+}
+
+TEST_F(CheckpointCorruption, ForgedLevelOrderCountIsRejected) {
+  expectForgedCountRejected(bytes_, test::CheckpointCount::kLevel2Var);
+}
+
+TEST_F(CheckpointCorruption, ForgedChoiceVarCountIsRejected) {
+  expectForgedCountRejected(bytes_, test::CheckpointCount::kChoiceVars);
+}
+
+TEST_F(CheckpointCorruption, ForgedNodeCountIsRejected) {
+  expectForgedCountRejected(bytes_, test::CheckpointCount::kNodes);
+}
+
+TEST_F(CheckpointCorruption, ForgedReachedRootCountIsRejected) {
+  expectForgedCountRejected(bytes_, test::CheckpointCount::kReached);
+}
+
+TEST_F(CheckpointCorruption, ForgedFrontierRootCountIsRejected) {
+  expectForgedCountRejected(bytes_, test::CheckpointCount::kFrontier);
+}
+
 TEST(CheckpointFile, SaveIsAtomicNoTmpLeftBehind) {
   const std::string path = tmpPath("atomic.bin");
   Manager a(4);
@@ -267,6 +308,47 @@ TEST(CheckpointFile, SaveIsAtomicNoTmpLeftBehind) {
   std::ifstream tmp(path + ".tmp", std::ios::binary);
   EXPECT_FALSE(tmp.good());  // renamed away
   std::remove(path.c_str());
+}
+
+TEST(GoldenBytes, OneSmallCheckpoint) {
+  // A BFV checkpoint over four variables in a non-natural order, as its file
+  // bytes: the 24-byte header (magic "BFVRCKPT", version, payload CRC-32,
+  // payload length), then the engine tag, root kind, two flags, iteration,
+  // variable order, choice variables, node table and both root lists. The
+  // golden image decodes into a fresh manager and encodes to the same bytes.
+  const char* golden =
+      "42465652434b5054010000000abc880bab00000000000000"
+      "0362667601000105000000040000000200000000000000030000000100000002"
+      "0000000000000002000000040000000000000001000000000000000000000001"
+      "0000000000000000000000020000000000000003000000000000000300000000"
+      "0000000000000001000000000000000000000006000000000000000100000000"
+      "0000000300000005000000000000000900000000000000000000000000000001"
+      "0000000100000000000000";
+  const std::vector<unsigned> order{2, 0, 3, 1};
+  Manager a(4);
+  a.setVarOrder(order);
+  Checkpoint c;
+  c.engine = "bfv";
+  c.kind = RootKind::kBfv;
+  c.iteration = 5;
+  c.level2var = a.currentOrder();
+  c.choice_vars = {0, 2};
+  c.frontier_empty = true;
+  c.reached = {a.var(0) ^ a.var(1), ~(a.var(0) & a.var(3)), a.one()};
+  c.frontier = {a.zero()};
+  EXPECT_EQ(test::hex(encode(c)), golden);
+
+  const std::vector<std::uint8_t> bytes = test::unhex(golden);
+  Manager b(4);
+  const Checkpoint d = decode(bytes.data(), bytes.size(), b);
+  EXPECT_EQ(b.currentOrder(), order);
+  EXPECT_EQ(d.engine, "bfv");
+  EXPECT_EQ(d.kind, RootKind::kBfv);
+  EXPECT_EQ(d.iteration, 5U);
+  EXPECT_EQ(d.choice_vars, c.choice_vars);
+  EXPECT_FALSE(d.reached_empty);
+  EXPECT_TRUE(d.frontier_empty);
+  EXPECT_EQ(test::hex(encode(d)), golden);
 }
 
 // ---------------------------------------------------------------------------

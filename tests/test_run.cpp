@@ -21,6 +21,7 @@
 #include "run/run.hpp"
 #include "support/brute.hpp"
 #include "support/fault_points.hpp"
+#include "support/forge_count.hpp"
 #include "support/process_dir.hpp"
 #include "sym/simulate.hpp"
 #include "sym/space.hpp"
@@ -688,6 +689,51 @@ TEST(RunResume, CorruptImageFallsBackToAFreshRun) {
     EXPECT_EQ(r.reach.states, 20.0) << "image " << i;
     ASSERT_FALSE(r.attempts.empty());
     EXPECT_FALSE(r.attempts.front().resumed) << "image " << i;
+  }
+}
+
+TEST(RunResume, ForgedCountImageFallsBackToAFreshRun) {
+  // An iteration-0 image this bfv job could continue, with one count field
+  // forged to 2^30 items and the CRC recomputed. Decoding it is an io::Error
+  // (each count is checked against the bytes left), so the job runs fresh
+  // and ends done with the clean run's states, not kError.
+  JobSpec spec;
+  spec.circuit = "gen:counter:5:20";
+  const JobResult clean = executeJob(spec);
+  ASSERT_EQ(clean.status, RunStatus::kDone);
+  std::vector<std::uint8_t> image;
+  {
+    Manager m(0);
+    const circuit::Netlist n = resolveCircuit(spec.circuit);
+    sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
+    io::Checkpoint c;
+    c.engine = "bfv";
+    c.kind = io::RootKind::kBfv;
+    c.level2var = m.currentOrder();
+    c.choice_vars = s.currentVars();
+    c.reached = c.frontier =
+        bfv::Bfv::point(m, s.currentVars(), s.initialBits()).comps();
+    image = io::encode(c);
+  }
+  spec.resume_image = std::make_shared<std::vector<std::uint8_t>>(image);
+  const JobResult resumed = executeJob(spec);
+  ASSERT_FALSE(resumed.attempts.empty());
+  EXPECT_TRUE(resumed.attempts.front().resumed);  // the unforged image resumes
+  for (const test::CheckpointCount which :
+       {test::CheckpointCount::kLevel2Var, test::CheckpointCount::kChoiceVars,
+        test::CheckpointCount::kNodes, test::CheckpointCount::kReached,
+        test::CheckpointCount::kFrontier}) {
+    auto forged = std::make_shared<std::vector<std::uint8_t>>(image);
+    test::forgeCount(*forged, which, 0x40000000);
+    spec.resume_image = forged;
+    const JobResult r = executeJob(spec);
+    const int count = static_cast<int>(which);
+    EXPECT_EQ(r.status, RunStatus::kDone)
+        << "count " << count << ": " << r.message;
+    EXPECT_EQ(r.reach.states, clean.reach.states) << "count " << count;
+    EXPECT_EQ(r.reach.iterations, clean.reach.iterations) << "count " << count;
+    ASSERT_FALSE(r.attempts.empty());
+    EXPECT_FALSE(r.attempts.front().resumed) << "count " << count;
   }
 }
 

@@ -27,12 +27,15 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "run/run.hpp"
+#include "support/hex.hpp"
 #include "support/process_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/journal.hpp"
@@ -289,6 +292,65 @@ TEST(SvcJournal, CompactionRewritesAtomically) {
   EXPECT_EQ(j.replayed()[1].job, 5u);
   EXPECT_EQ(j.replayed()[2].event, JournalEvent::kDone);
   EXPECT_EQ(j.replayed()[2].job, 4u);
+}
+
+TEST(GoldenBytes, OneJournalRecordPerEvent) {
+  // One record of every JournalEvent, as its on-disk bytes: the 16-byte
+  // header (magic "BFVJ", version, event, two reserved bytes, payload
+  // length, payload CRC-32) and then every field in its fixed order. Each
+  // golden string decodes back to the record, which encodes to the same
+  // bytes.
+  JournalRecord accepted = acceptedRec(1, "key-1");
+  JournalRecord dispatched;
+  dispatched.event = JournalEvent::kDispatched;
+  dispatched.job = 1;
+  JournalRecord checkpointed;
+  checkpointed.event = JournalEvent::kCheckpointed;
+  checkpointed.job = 1;
+  checkpointed.iteration = 12;
+  JournalRecord done = doneRec(1);
+  done.message = "ok";
+  const std::pair<JournalRecord, const char*> cases[] = {
+      {accepted,
+       "4246564a01010000610000004b49490a"
+       "010000000000000005000000616c706861050000006b65792d31230000006369"
+       "72637569743d67656e3a636f756e7465723a343a313020656e67696e653d6266"
+       "7600000000000000000000000000000000000000000000000000000000000000"
+       "00"},
+      {dispatched,
+       "4246564a0102000034000000bdf3e7a5"
+       "0100000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000"},
+      {checkpointed,
+       "4246564a0103000034000000c3dd7937"
+       "01000000000000000000000000000000000000000c0000000000000000000000"
+       "0000000000000000000000000000000000000000"},
+      {done,
+       "4246564a010400003a000000c57a1b7f"
+       "01000000000000000000000000000000000000000b0000000000000004000000"
+       "646f6e65020000006f6b0000000000002440000000000000d03f"},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const auto& [rec, golden] = cases[i];
+    SCOPED_TRACE(to_string(rec.event));
+    EXPECT_EQ(static_cast<std::size_t>(rec.event), i + 1);
+    EXPECT_EQ(test::hex(Journal::encodeRecord(rec)), golden);
+
+    const std::vector<std::uint8_t> bytes = test::unhex(golden);
+    JournalRecord back;
+    ASSERT_EQ(Journal::decodeRecord(bytes.data(), bytes.size(), &back),
+              bytes.size());
+    EXPECT_EQ(back.event, rec.event);
+    EXPECT_EQ(back.job, rec.job);
+    EXPECT_EQ(back.tenant, rec.tenant);
+    EXPECT_EQ(back.idem, rec.idem);
+    EXPECT_EQ(back.line, rec.line);
+    EXPECT_EQ(back.iteration, rec.iteration);
+    EXPECT_EQ(back.status, rec.status);
+    EXPECT_EQ(back.message, rec.message);
+    EXPECT_EQ(back.states, rec.states);
+    EXPECT_EQ(back.seconds, rec.seconds);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <iterator>
 #include <thread>
 
+#include "support/hex.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
 #include "svc/wire.hpp"
@@ -337,6 +339,117 @@ TEST(SvcWire, EndpointParse) {
   EXPECT_THROW(Endpoint::parse("unix:"), Error);
   EXPECT_THROW(Endpoint::parse("tcp:host:notaport"), Error);
   EXPECT_THROW(Endpoint::parse("tcp:host:70000"), Error);
+}
+
+// --- golden bytes --------------------------------------------------------
+
+/// Decode a frame as message M and encode it again.
+template <class M>
+Frame reencode(const Frame& f) {
+  return M::decode(f).encode();
+}
+
+TEST(GoldenBytes, OneWireFramePerType) {
+  // One frame of every FrameType, as the bytes a peer receives: the 16-byte
+  // header (magic "BFVS", version, type, two reserved bytes, payload length,
+  // payload CRC-32) and then the payload. Each golden string decodes back to
+  // its message, which encodes to the same bytes.
+  IterationUpdate iter;
+  iter.job = 5;
+  iter.iteration = 17;
+  iter.frontier_nodes = 33;
+  iter.live_nodes = 1234;
+  iter.peak_nodes = 2345;
+  iter.frontier_states = 96.0;
+  JobDone done;
+  done.job = 7;
+  done.status = "done";
+  done.seconds = 1.25;
+  done.queue_seconds = 0.5;
+  done.worker = 3;
+  done.iterations = 201;
+  done.states = 200.0;
+  done.peak_live_nodes = 12345;
+  done.attempts = 2;
+  done.evictions = 1;
+  done.resumed = true;
+  struct Case {
+    Frame frame;
+    Frame (*reencode)(const Frame&);
+    const char* hex;
+  };
+  const Case cases[] = {
+      {Hello{"alpha", kWireVersion}.encode(), reencode<Hello>,
+       "42465653030100000a000000d9d4dd52"
+       "05000000616c70686103"},
+      {HelloAck{0x0102030405060708u, "srv"}.encode(), reencode<HelloAck>,
+       "42465653030200000f0000001d2e533f"
+       "080706050403020103000000737276"},
+      {Submit{42, "circuit=gen:counter:4:10 engine=bfv", "key-1"}.encode(),
+       reencode<Submit>,
+       "424656530303000038000000624653d7"
+       "2a0000000000000023000000636972637569743d67656e3a636f756e7465723a"
+       "343a313020656e67696e653d626676050000006b65792d31"},
+      {Accepted{3, 9, 0xDEADBEEFCAFEu}.encode(), reencode<Accepted>,
+       "424656530304000018000000ab6ddbd4"
+       "03000000000000000900000000000000fecaefbeadde0000"},
+      {Rejected{4, "queue full"}.encode(), reencode<Rejected>,
+       "424656530305000016000000457b98fb"
+       "04000000000000000a00000071756575652066756c6c"},
+      {JobStarted{5, true}.encode(), reencode<JobStarted>,
+       "424656530306000009000000776199db"
+       "050000000000000001"},
+      {iter.encode(), reencode<IterationUpdate>,
+       "424656530307000030000000864cd4dc"
+       "050000000000000011000000000000002100000000000000d204000000000000"
+       "29090000000000000000000000005840"},
+      {JobEvicted{6, 8, 2}.encode(), reencode<JobEvicted>,
+       "4246565303080000140000002db8f327"
+       "0600000000000000080000000000000002000000"},
+      {done.encode(), reencode<JobDone>,
+       "42465653030900004900000006ca522c"
+       "070000000000000004000000646f6e6500000000000000000000f43f00000000"
+       "0000e03f03000000c90000000000000000000000000069403930000000000000"
+       "020000000100000001"},
+      {Cancel{11}.encode(), reencode<Cancel>,
+       "42465653030a0000080000003fc34838"
+       "0b00000000000000"},
+      {Evict{12}.encode(), reencode<Evict>,
+       "42465653030b00000800000026ca8d32"
+       "0c00000000000000"},
+      {StatsQuery{StatsQuery::kAllSections}.encode(), reencode<StatsQuery>,
+       "42465653030c000004000000a5e793bc"
+       "07000000"},
+      {StatsReply{"{}"}.encode(), reencode<StatsReply>,
+       "42465653030d00000600000014ad751e"
+       "020000007b7d"},
+      {Shutdown{false}.encode(), reencode<Shutdown>,
+       "42465653030e0000010000008def02d2"
+       "00"},
+      {Bye{}.encode(), reencode<Bye>,
+       "42465653030f00000000000000000000"},
+      {WireError{"boom"}.encode(), reencode<WireError>,
+       "4246565303100000080000008b08aae2"
+       "04000000626f6f6d"},
+  };
+  ASSERT_EQ(std::size(cases), 16u);  // every FrameType, kHello..kError
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(to_string(c.frame.type));
+    EXPECT_EQ(static_cast<std::size_t>(c.frame.type), i + 1);
+    EXPECT_EQ(test::hex(encodeFrame(c.frame)), c.hex);
+
+    const std::vector<std::uint8_t> bytes = test::unhex(c.hex);
+    ASSERT_GE(bytes.size(), kFrameHeaderBytes);
+    Frame back;
+    std::uint32_t crc = 0;
+    const std::uint32_t len = decodeFrameHeader(bytes.data(), &back.type, &crc);
+    ASSERT_EQ(kFrameHeaderBytes + len, bytes.size());
+    back.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
+    checkPayloadCrc(back.payload.data(), back.payload.size(), crc);
+    EXPECT_EQ(back.type, c.frame.type);
+    EXPECT_EQ(test::hex(encodeFrame(c.reencode(back))), c.hex);
+  }
 }
 
 }  // namespace
