@@ -431,6 +431,14 @@ class Manager {
   /// Sibling-substitution "restrict": like constrain but never grows the
   /// result's support beyond f's. Requires c != 0.
   Bdd restrict(const Bdd& f, const Bdd& c);
+  /// Characteristic function, over `vars`, of the range of the vector `fs`,
+  /// whose component i is named by vars[i] — Coudert–Madre recursive range
+  /// splitting:
+  ///   Range(f_i, F) = ITE(u_i, Range(F |> f_i), Range(F |> ~f_i)),
+  /// where a constant f_i fixes u_i. One raw-edge walk with a per-call memo
+  /// on the remaining (constrained) suffix. Requires fs.size() ==
+  /// vars.size(); the range of the empty vector is TRUE.
+  Bdd range(std::span<const Bdd> fs, std::span<const unsigned> vars);
   /// Shannon cofactor with respect to a single variable.
   Bdd cofactor(const Bdd& f, unsigned var, bool value);
   /// Both Shannon cofactors {f|var=0, f|var=1} from ONE traversal of f. The

@@ -1,10 +1,12 @@
 // Shannon cofactors and the two generalized-cofactor operators the paper's
 // related work leans on: Coudert–Madre `constrain` (used for range
 // computation by recursive splitting and for the conjunctive-decomposition
-// algorithms of §2.7) and the size-minimizing `restrict`.
+// algorithms of §2.7) and the size-minimizing `restrict`; and the range
+// kernel built on constrain.
 #include <algorithm>
 
 #include "bdd/bdd.hpp"
+#include "bdd/memo.hpp"
 
 namespace bfvr::bdd {
 
@@ -157,6 +159,72 @@ Bdd Manager::restrict(const Bdd& f, const Bdd& c) {
   }
   return withPressure(
       [&] { return make(restrictRec(requireSameManager(f), ce)); });
+}
+
+// ---------------------------------------------------------------------------
+// range (Coudert–Madre recursive range splitting)
+// ---------------------------------------------------------------------------
+
+Bdd Manager::range(std::span<const Bdd> fs, std::span<const unsigned> vars) {
+  ++stats_.top_ops;
+  if (fs.size() != vars.size()) {
+    throw std::invalid_argument("range: one variable per component");
+  }
+  for (const Bdd& f : fs) requireSameManager(f);
+  for (const unsigned v : vars) ensureVar(v);
+  const std::size_t n = fs.size();
+  // The retry boundary sits around the whole walk: the stack and the memo
+  // are rebuilt with each attempt, and the nested kernels never retry.
+  return withPressure([&] {
+    // The suffixes still to split share one stack. A frame's suffix is
+    // stack[base, base + n - i), addressed by index: deeper frames push
+    // theirs behind it and may reallocate the stack.
+    std::vector<Edge> stack;
+    stack.reserve(n * n + 1);
+    for (const Bdd& f : fs) stack.push_back(f.raw());
+    // Per call: the computed cache cannot be keyed by a whole suffix.
+    detail::SuffixMemo memo;
+    // ITE(u, hi, lo). The halves range over the variables after u, so u
+    // sits above both unless the order interleaves the range variables;
+    // read per attempt: the ladder may reorder between two.
+    const auto split = [&](unsigned u, Edge hi, Edge lo) {
+      const std::uint32_t lu = var2level_[u];
+      if (lu < level(hi) && lu < level(lo)) return mkNode(u, hi, lo);
+      return iteRec(mkNode(u, kTrueEdge, kFalseEdge), hi, lo);
+    };
+    auto rec = [&](auto&& self, std::size_t base, std::size_t i) -> Edge {
+      if (i == n) return kTrueEdge;
+      const std::size_t len = n - i;
+      const std::uint64_t h = memo.hash({stack.data() + base, len});
+      if (const Edge* hit = memo.find({stack.data() + base, len}, h)) {
+        return *hit;
+      }
+      const Edge d = stack[base];
+      Edge r;
+      if (isConstEdge(d)) {
+        // The tail is the next suffix as it stands.
+        const Edge rest = self(self, base + 1, i + 1);
+        r = d == kTrueEdge ? split(vars[i], rest, kFalseEdge)
+                           : split(vars[i], kFalseEdge, rest);
+      } else {
+        // Both constrained tails, then one range each.
+        const std::size_t on = stack.size();
+        const std::size_t off = on + len - 1;
+        stack.resize(off + len - 1);
+        for (std::size_t k = 1; k < len; ++k) {
+          stack[on + k - 1] = constrainRec(stack[base + k], d);
+          stack[off + k - 1] = constrainRec(stack[base + k], negate(d));
+        }
+        const Edge hi = self(self, on, i + 1);
+        const Edge lo = self(self, off, i + 1);
+        stack.resize(on);
+        r = split(vars[i], hi, lo);
+      }
+      memo.insert({stack.data() + base, len}, h, r);
+      return r;
+    };
+    return make(rec(rec, 0, 0));
+  });
 }
 
 }  // namespace bfvr::bdd

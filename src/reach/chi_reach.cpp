@@ -6,16 +6,19 @@
 //  * CBM — the Coudert/Berthet/Madre flow of Fig. 1: image computation by
 //    symbolic simulation, but all set manipulation on characteristic
 //    functions. Every iteration pays a chi -> BFV conversion
-//    (parameterization) before simulating and a BFV -> chi conversion
-//    (recursive range splitting) after.
+//    (parameterization, `bfv::fromChar`: an exists chain and
+//    `vectorCompose`) before simulating and a BFV -> chi conversion
+//    (recursive range splitting, `sym::rangeChar` on the `Manager::range`
+//    kernel) after.
 //  * Hybrid — the "to split or to conjoin" idea the paper cites ([11], Moon
 //    et al.): each image either by the partitioned-relation AND-EXISTS
 //    chain (conjoin) or by constraining the transition functions with the
-//    from-set and recursively splitting the range (split). Splitting wins
-//    when the from-set is small or strongly constrains the functions; the
-//    relation wins on broad frontiers. The chooser is the simple size
-//    heuristic from the paper's description: split when the constrained
-//    transition functions are (much) smaller than the relation clusters.
+//    from-set and recursively splitting the range (split, the same kernel
+//    as CBM's). Splitting wins when the from-set is small or strongly
+//    constrains the functions; the relation wins on broad frontiers. The
+//    chooser is the simple size heuristic from the paper's description:
+//    split when the constrained transition functions are (much) smaller
+//    than the relation clusters.
 #include "bfv/bfv.hpp"
 #include "reach/internal.hpp"
 #include "sym/image.hpp"

@@ -296,6 +296,9 @@ JobResult executeAttempt(const JobSpec& spec, const CancelToken* cancel,
       const bool has_image =
           spec.resume_image != nullptr && !spec.resume_image->empty();
       if (has_image || (try_resume && !opts.checkpoint_path.empty())) {
+        // Decoding installs the image's variable order before it can fail,
+        // so a rejected image puts the job's own order back.
+        const std::vector<unsigned> order = m.currentOrder();
         try {
           const io::Checkpoint c =
               has_image ? io::decode(spec.resume_image->data(),
@@ -306,7 +309,8 @@ JobResult executeAttempt(const JobSpec& spec, const CancelToken* cancel,
           out.reach = dispatchEngine(spec.engine, s, seeded);
           rec.resumed = true;
         } catch (const io::Error&) {
-          // Unusable checkpoint: the fresh run below.
+          // Unusable checkpoint: the fresh run below, under the job's order.
+          if (m.currentOrder() != order) m.setVarOrder(order);
         }
       }
       if (!rec.resumed) out.reach = dispatchEngine(spec.engine, s, opts);

@@ -1,67 +1,20 @@
 #include "sym/image.hpp"
 
-#include <unordered_map>
+#include <stdexcept>
 
 namespace bfvr::sym {
-
-namespace {
-
-struct VecHash {
-  std::size_t operator()(const std::vector<bdd::Edge>& v) const noexcept {
-    std::size_t h = 0x9e3779b97f4a7c15ULL;
-    for (bdd::Edge e : v) {
-      h ^= e + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-struct RangeSplitter {
-  Manager& m;
-  const StateSpace& s;
-  // Memo keyed by the raw edges of the remaining suffix. No GC can run
-  // while this object is alive (we never call maybeGc inside), so raw
-  // edges are stable.
-  std::unordered_map<std::vector<bdd::Edge>, Bdd, VecHash> memo;
-
-  Bdd run(std::size_t i, const std::vector<Bdd>& vec) {
-    const std::size_t n = vec.size();
-    if (i == n) return m.one();
-    std::vector<bdd::Edge> key;
-    key.reserve(n - i + 1);
-    key.push_back(static_cast<bdd::Edge>(i));
-    for (std::size_t j = i; j < n; ++j) key.push_back(vec[j].raw());
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-
-    const unsigned u = s.paramVars()[i];
-    const Bdd d = vec[i];
-    Bdd r;
-    if (d.isConst()) {
-      const Bdd rest = run(i + 1, vec);
-      r = d.isTrue() ? (m.var(u) & rest) : (~m.var(u) & rest);
-    } else {
-      std::vector<Bdd> on(vec), off(vec);
-      for (std::size_t j = i + 1; j < n; ++j) {
-        on[j] = m.constrain(vec[j], d);
-        off[j] = m.constrain(vec[j], ~d);
-      }
-      r = (m.var(u) & run(i + 1, on)) | (~m.var(u) & run(i + 1, off));
-    }
-    memo.emplace(std::move(key), r);
-    return r;
-  }
-};
-
-}  // namespace
 
 Bdd rangeChar(const StateSpace& s, std::span<const Bdd> deltas,
               const Bdd& care) {
   Manager& m = s.manager();
   if (care.isFalse()) return m.zero();
+  const std::span<const unsigned> u(s.paramVars());
+  if (deltas.size() > u.size()) {
+    throw std::invalid_argument("rangeChar: more components than latches");
+  }
   std::vector<Bdd> vec(deltas.begin(), deltas.end());
   for (Bdd& d : vec) d = m.constrain(d, care);
-  RangeSplitter rs{m, s, {}};
-  return rs.run(0, vec);
+  return m.range(vec, u.first(vec.size()));
 }
 
 }  // namespace bfvr::sym

@@ -4,12 +4,15 @@
 #include <algorithm>
 #include <string>
 
+#include "support/between.hpp"
 #include "support/brute.hpp"
 
 namespace bfvr::bdd {
 namespace {
 
+using test::Between;
 using test::bddFromTruth;
+using test::betweenName;
 using test::randomTruth;
 using test::truthOf;
 
@@ -151,40 +154,9 @@ void expectRenamed(Manager& m, const Bdd& f, const Bdd& got,
 }
 
 /// What happens to the manager between two rounds of renaming.
-enum class Between { kNothing, kGc, kSift, kReset };
-
-std::string betweenName(const ::testing::TestParamInfo<Between>& i) {
-  switch (i.param) {
-    case Between::kNothing:
-      return "Nothing";
-    case Between::kGc:
-      return "Gc";
-    case Between::kSift:
-      return "Sift";
-    case Between::kReset:
-      return "Reset";
-  }
-  return "?";
-}
-
 class PermuteBetween : public ::testing::TestWithParam<Between> {
  protected:
-  /// gc() and reorder() run with the renamed functions alive.
-  /// resetForReuse needs every handle gone, so the tests drop theirs and
-  /// reset the manager themselves.
-  void disturb(Manager& m) {
-    switch (GetParam()) {
-      case Between::kNothing:
-      case Between::kReset:
-        break;
-      case Between::kGc:
-        m.gc();
-        break;
-      case Between::kSift:
-        m.reorder(ReorderMethod::kSift);
-        break;
-    }
-  }
+  void disturb(Manager& m) { test::disturb(m, GetParam()); }
 };
 
 TEST_P(PermuteBetween, KeptAndInvertedOrdersMatchEval) {

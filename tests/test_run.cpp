@@ -4,6 +4,7 @@
 // worker pool, portfolio races, and the manifest grammar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -734,6 +735,56 @@ TEST(RunResume, ForgedCountImageFallsBackToAFreshRun) {
     EXPECT_EQ(r.reach.iterations, clean.reach.iterations) << "count " << count;
     ASSERT_FALSE(r.attempts.empty());
     EXPECT_FALSE(r.attempts.front().resumed) << "count " << count;
+  }
+}
+
+TEST(RunResume, RejectedImageFallsBackUnderTheJobsOwnOrder) {
+  // Decoding installs an image's variable order before it reads the node
+  // table. An image rejected after that point, by the decoder or by the
+  // job's engine, must not leave its order behind: the fresh run that
+  // follows is the job's own, counter for counter. Both images here carry
+  // the job's order reversed; one has a forged reached-root count, the
+  // other is another engine's.
+  JobSpec spec;
+  spec.circuit = "gen:counter:8:200";
+  const JobResult clean = executeJob(spec);
+  ASSERT_EQ(clean.status, RunStatus::kDone);
+  std::vector<std::vector<std::uint8_t>> images;
+  {
+    Manager m(0);
+    const circuit::Netlist n = resolveCircuit(spec.circuit);
+    sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
+    std::vector<unsigned> reversed = m.currentOrder();
+    std::reverse(reversed.begin(), reversed.end());
+    m.setVarOrder(reversed);
+    io::Checkpoint c;
+    c.engine = "bfv";
+    c.kind = io::RootKind::kBfv;
+    c.level2var = m.currentOrder();
+    c.choice_vars = s.currentVars();
+    c.reached = c.frontier =
+        bfv::Bfv::point(m, s.currentVars(), s.initialBits()).comps();
+    images.push_back(io::encode(c));
+    test::forgeCount(images.back(), test::CheckpointCount::kReached,
+                     0x40000000);
+    io::Checkpoint tr = initialChiCheckpoint(s);
+    ASSERT_EQ(tr.level2var, reversed);
+    images.push_back(io::encode(tr));
+  }
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    spec.resume_image =
+        std::make_shared<std::vector<std::uint8_t>>(std::move(images[i]));
+    const JobResult r = executeJob(spec);
+    ASSERT_EQ(r.status, RunStatus::kDone) << "image " << i << ": "
+                                          << r.message;
+    ASSERT_FALSE(r.attempts.empty());
+    EXPECT_FALSE(r.attempts.front().resumed) << "image " << i;
+    EXPECT_EQ(r.reach.states, clean.reach.states) << "image " << i;
+    EXPECT_EQ(r.reach.iterations, clean.reach.iterations) << "image " << i;
+    EXPECT_EQ(r.reach.peak_live_nodes, clean.reach.peak_live_nodes)
+        << "image " << i;
+    EXPECT_EQ(r.reach.ops.recursive_steps, clean.reach.ops.recursive_steps)
+        << "image " << i;
   }
 }
 
