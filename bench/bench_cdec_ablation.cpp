@@ -118,8 +118,10 @@ void reachBackends(JsonLog& log, JsonLog& trace) {
     const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
     const reach::ReachResult ra = runOnce(n, order, a);
     const reach::ReachResult rb = runOnce(n, order, b);
-    log.push(runObject(n.name(), order.label(), engineName(a.engine), ra));
-    log.push(runObject(n.name(), order.label(), engineName(b.engine), rb));
+    log.push(reach::runRow(n.name(), order.label(), engineName(a.engine),
+                           ra));
+    log.push(reach::runRow(n.name(), order.label(), engineName(b.engine),
+                           rb));
     pushTrace(trace, n.name(), order.label(), engineName(a.engine), ra);
     pushTrace(trace, n.name(), order.label(), engineName(b.engine), rb);
     std::printf("%-10s | %10s %9s | %10s %9s\n", n.name().c_str(),

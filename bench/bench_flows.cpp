@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       spec.opts.trace = trace.enabled();
       const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
       const reach::ReachResult r = runOnce(n, order, spec);
-      log.push(runObject(n.name(), order.label(), engineName(e), r));
+      log.push(reach::runRow(n.name(), order.label(), engineName(e), r));
       pushTrace(trace, n.name(), order.label(), engineName(e), r);
       char states[32];
       if (r.status == RunStatus::kDone) {

@@ -14,7 +14,7 @@
 // state counts comparable ("states within k steps" is an exact answer) and
 // the BDD legs bounded.
 //
-// `--json` emits one row per run (BDD rows in the shared runObject schema,
+// `--json` emits one row per run (BDD rows in the shared reach::runRow schema,
 // LZ rows in the lz schema without node metrics); CI diffs the file against
 // baselines/BENCH_lz.json via tools/perf_smoke.py.
 #include <string>
@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
       spec.opts.max_iterations = row.iters;
       const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
       const reach::ReachResult r = runOnce(row.n, order, spec);
-      log.push(runObject(row.n.name(), order.label(), engineName(e), r));
+      log.push(
+          reach::runRow(row.n.name(), order.label(), engineName(e), r));
       char states[32];
       if (r.status == RunStatus::kDone) {
         std::snprintf(states, sizeof states, "%.0f", r.states);

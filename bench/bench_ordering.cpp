@@ -125,8 +125,8 @@ int runCircuits(bench::JsonLog& log, bench::JsonLog& trace) {
     std::size_t worst_peak = 0, best_peak = 0;
     for (const circuit::OrderSpec& spec : orderSuite()) {
       const reach::ReachResult probe = bench::runOnce(n, spec, baseline);
-      log.push(bench::runObject(name, spec.label(),
-                                bench::engineName(baseline.engine), probe)
+      log.push(reach::runRow(name, spec.label(),
+                             bench::engineName(baseline.engine), probe)
                    .add("mode", "sweep"));
       if (best_peak == 0 || probe.peak_live_nodes < best_peak) {
         best_peak = probe.peak_live_nodes;
@@ -140,11 +140,11 @@ int runCircuits(bench::JsonLog& log, bench::JsonLog& trace) {
     // Final comparison from the worst order: plain vs auto-reorder.
     const reach::ReachResult base = bench::runOnce(n, worst, baseline_traced);
     const reach::ReachResult sift = bench::runOnce(n, worst, reorder_traced);
-    log.push(bench::runObject(name, worst.label(),
-                              bench::engineName(baseline.engine), base)
+    log.push(reach::runRow(name, worst.label(),
+                           bench::engineName(baseline.engine), base)
                  .add("mode", "worst_baseline"));
-    log.push(bench::runObject(name, worst.label(),
-                              bench::engineName(reorder.engine), sift)
+    log.push(reach::runRow(name, worst.label(),
+                           bench::engineName(reorder.engine), sift)
                  .add("mode", "worst_auto_reorder")
                  .add("reorder_threshold", reorder.mgr.reorder_threshold));
     bench::pushTrace(trace, name, worst.label(),

@@ -45,9 +45,10 @@ int main(int argc, char** argv) {
     const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
     const reach::ReachResult a = runOnce(n, order, stat);
     const reach::ReachResult b = runOnce(n, order, dyn);
-    log.push(runObject(n.name(), order.label(), engineName(stat.engine), a)
-                 .add("schedule", "static"));
-    log.push(runObject(n.name(), order.label(), engineName(dyn.engine), b)
+    log.push(
+        reach::runRow(n.name(), order.label(), engineName(stat.engine), a)
+            .add("schedule", "static"));
+    log.push(reach::runRow(n.name(), order.label(), engineName(dyn.engine), b)
                  .add("schedule", "dynamic"));
     pushTrace(trace, n.name(), order.label(), engineName(stat.engine), a);
     pushTrace(trace, n.name(), order.label(), engineName(dyn.engine), b);

@@ -5,15 +5,17 @@
 //
 // On top of the google-benchmark tables, `--json[=path]` /
 // `--trace[=path]` (stripped from argv before benchmark::Initialize sees
-// it) write one deterministic counter sweep per (operation, width) —
-// top-level ops, recursive steps, and the per-op computed-cache hit/miss
-// split — so the perf trajectory of the set algorithms lands in the same
-// BENCH_/TRACE_ artifact shape as the reachability benches.
+// it) write one deterministic counter sweep per (operation, width) — the
+// same counter block as the reachability benches' rows (top-level ops,
+// recursive steps, cache, GC and reorder counters, the per-op
+// computed-cache hit/miss split) — so the perf trajectory of the set
+// algorithms lands in the same BENCH_/TRACE_ artifact shape.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
 #include "bfv/bfv.hpp"
+#include "obs/report.hpp"
 #include "support.hpp"
 #include "util/rng.hpp"
 
@@ -140,18 +142,13 @@ void BM_Reparam(benchmark::State& state) {
   }
 }
 
-/// One sweep row: deterministic counters of a counter delta, including the
-/// per-op computed-cache split the reachability benches also publish.
+/// One sweep row: the counter block of a counter delta, as the
+/// reachability benches publish it.
 util::JsonObject statsRow(const char* op, unsigned width,
                           const bdd::OpStats& d) {
   util::JsonObject o;
-  o.add("op", op)
-      .add("width", width)
-      .add("top_ops", d.top_ops)
-      .add("recursive_steps", d.recursive_steps)
-      .add("cache_lookups", d.cache_lookups)
-      .add("cache_hits", d.cache_hits)
-      .addRaw("op_cache", obs::opCacheJson(d));
+  o.add("op", op).add("width", width);
+  obs::addOpStats(o, d);
   return o;
 }
 

@@ -15,8 +15,9 @@ int main(int argc, char** argv) {
   bdd::Manager m(3);
   // No reach run here, so the trace report is events-only: record manager
   // lifecycle events (a forced GC at the end guarantees at least one).
-  obs::RunTrace events_trace;
-  obs::ScopedEventRecorder recorder(m, events_trace.events);
+  reach::ReachResult construct;
+  construct.trace.emplace();
+  obs::ScopedEventRecorder recorder(m, construct.trace->events);
   const std::vector<unsigned> vars{0, 1, 2};
   // Members as component masks (bit i = component i, component 0 is the
   // paper's first / highest-weighted bit).
@@ -61,14 +62,11 @@ int main(int argc, char** argv) {
   log.push(o);
   if (trace.enabled()) {
     m.gc();
-    obs::RunMeta meta;
-    meta.circuit = "table1-example";
-    meta.order = "natural";
-    meta.engine = "BFV-construct";
-    meta.states = f.countStates();
-    meta.peak_live_nodes = m.peakNodes();
-    meta.ops = m.stats();
-    trace.push(obs::reportJson(meta, events_trace));
+    construct.states = f.countStates();
+    construct.peak_live_nodes = m.peakNodes();
+    construct.ops = m.stats();
+    bench::pushTrace(trace, "table1-example", "natural", "BFV-construct",
+                     construct);
   }
   return log.write() && trace.write() ? 0 : 1;
 }

@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
                                          runOnce(row.n, order, gd)};
       const reach::ReachResult* done = &runs[0];
       for (std::size_t i = 0; i < 3; ++i) {
-        log.push(runObject(row.n.name(), order.label(), engines[i], runs[i]));
+        log.push(
+            reach::runRow(row.n.name(), order.label(), engines[i], runs[i]));
         pushTrace(trace, row.n.name(), order.label(), engines[i], runs[i]);
         if (done->status != RunStatus::kDone) done = &runs[i];
       }

@@ -42,10 +42,10 @@ void printRow(const char* label, const Row& row) {
               row.sizes.bfv_nodes, r.states);
 }
 
-/// runObject() plus the two sizes only this table prints.
+/// reach::runRow() plus the two sizes only this table prints.
 void pushRow(JsonLog& log, JsonLog& trace, const circuit::Netlist& n,
              const std::string& order, const Row& row) {
-  log.push(runObject(n.name(), order, "BFV-Fig2", row.r)
+  log.push(reach::runRow(n.name(), order, "BFV-Fig2", row.r)
                .add("chi_nodes", row.sizes.chi_nodes)
                .add("bfv_nodes", row.sizes.bfv_nodes));
   pushTrace(trace, n.name(), order, "BFV-Fig2", row.r);

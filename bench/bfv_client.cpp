@@ -32,10 +32,10 @@
 //                     PREFIX to make resubmission safe across client
 //                     restarts too.
 //
-// Exit status: 0 when every submitted job completed "done" (or with
-// --strict, no job erred/memout/timeout and none were rejected); 1
-// otherwise, or on any connection/protocol failure; 2 on a usage error;
-// 3 when --deadline expired.
+// Exit status: 0 when no job erred and none was rejected (with --strict,
+// also none ran out of nodes or time or was cancelled; an inconclusive job
+// fails neither); 1 otherwise, or on any connection/protocol failure; 2 on
+// a usage error; 3 when --deadline expired.
 #include <unistd.h>
 
 #include <algorithm>
@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "svc/client.hpp"
+#include "util/stats.hpp"
 
 using namespace bfvr;
 
@@ -309,9 +310,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    bool ok = true;
-    std::size_t done = 0, memout = 0, timeout = 0, cancelled = 0, error = 0,
-                rejected = 0, evictions = 0;
+    StatusCounts counts;
+    std::size_t rejected = 0;
 
     if (!args.manifest.empty()) {
       const std::vector<std::string> raw = manifestLines(args.manifest);
@@ -368,19 +368,13 @@ int main(int argc, char** argv) {
           ++rejected;
           continue;
         }
-        if (l.done.status == "done") ++done;
-        else if (l.done.status == "M.O.") ++memout;
-        else if (l.done.status == "T.O.") ++timeout;
-        else if (l.done.status == "cancelled") ++cancelled;
-        else ++error;
+        counts.add(
+            parse_run_status(l.done.status).value_or(RunStatus::kError));
       }
-      evictions = runner.evictions();
-      if (rejected > 0) ok = false;
-      std::printf(
-          "%zu jobs as tenant %s: %zu done, %zu memout, %zu timeout, "
-          "%zu cancelled, %zu error, %zu rejected; %zu eviction%s\n",
-          raw.size(), args.tenant.c_str(), done, memout, timeout, cancelled,
-          error, rejected, evictions, evictions == 1 ? "" : "s");
+      const std::size_t evictions = runner.evictions();
+      std::printf("%zu jobs as tenant %s: %s, %zu rejected; %zu eviction%s\n",
+                  raw.size(), args.tenant.c_str(), counts.summary().c_str(),
+                  rejected, evictions, evictions == 1 ? "" : "s");
     }
 
     if (args.stats) {
@@ -404,15 +398,13 @@ int main(int argc, char** argv) {
     if (args.do_shutdown) client->shutdownServer(args.drain);
     client->bye();
 
-    if (error > 0 || rejected > 0) ok = false;
-    if (args.strict && (memout > 0 || timeout > 0 || cancelled > 0)) {
-      ok = false;
-    }
-    if (!args.strict) {
-      // Non-strict mirrors bfv_run: resource-model statuses are outcomes,
-      // not failures.
-      ok = ok && error == 0;
-    }
+    // As in bfv_run, resource-model statuses are outcomes, not failures,
+    // unless --strict; an inconclusive job fails neither run.
+    const bool budget_trip = counts[RunStatus::kMemOut] > 0 ||
+                             counts[RunStatus::kTimeOut] > 0 ||
+                             counts[RunStatus::kCancelled] > 0;
+    const bool ok = counts[RunStatus::kError] == 0 && rejected == 0 &&
+                    !(args.strict && budget_trip);
     return ok ? 0 : 1;
   } catch (const DeadlineExpired&) {
     std::fprintf(stderr, "bfv_client: --deadline %.3gs expired\n",

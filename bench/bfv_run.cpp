@@ -24,19 +24,19 @@
 //                      the same list a bad engine= diagnostic cites
 //
 // Exit status: 0 when every job ended in a resource-model status (done /
-// T.O. / M.O. / cancelled); 1 when any job errored (bad circuit spec,
-// unreadable file), when --strict and any job ran out of nodes or time,
-// or when the manifest/report itself failed.
+// T.O. / M.O. / cancelled / inconclusive); 1 when any job errored (bad
+// circuit spec, unreadable file), when --strict and any job ran out of
+// nodes or time, or when the manifest could not be read or the report
+// could not be written.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/report.hpp"
 #include "run/manifest.hpp"
 #include "run/run.hpp"
-#include "util/json.hpp"
+#include "util/file.hpp"
 #include "util/stats.hpp"
 
 using namespace bfvr;
@@ -109,59 +109,18 @@ bool parseArgs(int argc, char** argv, Args& a) {
   return true;
 }
 
-obs::JobRecord toRecord(const run::JobSpec& spec, const run::JobResult& r) {
-  obs::JobRecord rec;
-  rec.name = spec.displayName();
-  rec.circuit = spec.circuit;
-  rec.order = spec.order.label();
-  rec.engine = to_string(spec.engine);
-  rec.status = to_string(r.status);
-  rec.message = r.message;
-  rec.worker = r.worker;
-  rec.attempts.reserve(r.attempts.size());
-  for (const run::AttemptRecord& a : r.attempts) {
-    obs::JobAttempt ja;
-    ja.status = to_string(a.status);
-    ja.message = a.message;
-    ja.escalation = a.escalation;
-    ja.seconds = a.seconds;
-    ja.resumed = a.resumed;
-    ja.faults_injected = a.faults_injected;
-    rec.attempts.push_back(std::move(ja));
-  }
-  rec.queue_seconds = r.queue_seconds;
-  rec.seconds = r.seconds;
-  rec.iterations = r.reach.iterations;
-  rec.states = r.reach.states;
-  rec.peak_live_nodes = r.reach.peak_live_nodes;
-  rec.ops = r.reach.ops;
-  if (r.reach.trace.has_value()) {
-    obs::RunMeta meta;
-    meta.circuit = rec.circuit;
-    meta.order = rec.order;
-    meta.engine = rec.engine;
-    meta.status = rec.status;
-    meta.seconds = r.reach.seconds;
-    meta.iterations = rec.iterations;
-    meta.states = rec.states;
-    meta.peak_live_nodes = rec.peak_live_nodes;
-    meta.ops = rec.ops;
-    rec.trace_json = obs::reportJson(meta, *r.reach.trace);
-  }
-  return rec;
-}
-
-void printRow(const obs::JobRecord& rec) {
+void printRow(const run::JobRow& row) {
+  const run::JobResult& r = row.result;
   char states[32];
-  if (rec.status == "done") {
-    std::snprintf(states, sizeof states, "%.6g", rec.states);
+  if (r.status == RunStatus::kDone) {
+    std::snprintf(states, sizeof states, "%.6g", r.reach.states);
   } else {
     std::snprintf(states, sizeof states, "-");
   }
-  std::printf("%-28s %-8s %-9s %8.3f %6u %12s  w%u%s\n", rec.name.c_str(),
-              rec.engine.c_str(), rec.status.c_str(), rec.seconds,
-              rec.iterations, states, rec.worker,
-              rec.winner ? "  <- winner" : "");
+  std::printf("%-28s %-8s %-9s %8.3f %6u %12s  w%u%s\n",
+              row.spec.displayName().c_str(), to_string(row.spec.engine),
+              to_string(r.status).c_str(), r.seconds, r.reach.iterations,
+              states, r.worker, row.winner ? "  <- winner" : "");
 }
 
 }  // namespace
@@ -202,7 +161,7 @@ int main(int argc, char** argv) {
 
   const Timer total;
   run::WorkerPool pool(args.workers);
-  std::vector<obs::JobRecord> records;
+  std::vector<run::JobRow> rows;
 
   // Plain jobs go straight to the pool; each portfolio race gets a cheap
   // controller thread (runPortfolio blocks until its whole group returns),
@@ -232,19 +191,18 @@ int main(int argc, char** argv) {
     });
   }
   for (auto& [entry, fut] : singles) {
-    records.push_back(toRecord(entry->spec, fut.get()));
+    rows.push_back({entry->spec, fut.get(), "", false});
   }
   for (std::thread& t : controllers) t.join();
-  for (const Race& race : races) {
+  for (Race& race : races) {
     for (std::size_t i = 0; i < race.result.jobs.size(); ++i) {
       run::JobSpec variant = race.entry->spec;
       variant.engine = race.entry->portfolio[i];
       variant.name = race.entry->spec.displayName() + "/" +
                      to_string(variant.engine);
-      obs::JobRecord rec = toRecord(variant, race.result.jobs[i]);
-      rec.group = race.entry->spec.displayName();
-      rec.winner = race.result.winner == static_cast<int>(i);
-      records.push_back(std::move(rec));
+      rows.push_back({std::move(variant), std::move(race.result.jobs[i]),
+                      race.entry->spec.displayName(),
+                      race.result.winner == static_cast<int>(i)});
     }
   }
   const double total_seconds = total.seconds();
@@ -252,58 +210,44 @@ int main(int argc, char** argv) {
   if (!args.quiet) {
     std::printf("%-28s %-8s %-9s %8s %6s %12s  %s\n", "job", "engine",
                 "status", "time(s)", "iters", "states", "worker");
-    for (const obs::JobRecord& rec : records) printRow(rec);
+    for (const run::JobRow& row : rows) printRow(row);
   }
 
   // Per-status roll-up, printed even under --quiet: it's the one line a CI
   // log needs to judge a batch.
-  std::size_t done = 0, memout = 0, timeout = 0, cancelled = 0;
-  std::size_t inconclusive = 0, error = 0;
-  std::size_t retries = 0;
-  for (const obs::JobRecord& rec : records) {
-    if (rec.status == "done") ++done;
-    else if (rec.status == "M.O.") ++memout;
-    else if (rec.status == "T.O.") ++timeout;
-    else if (rec.status == "cancelled") ++cancelled;
-    else if (rec.status == "inconclusive") ++inconclusive;
-    else ++error;
-    if (rec.attempts.size() > 1) retries += rec.attempts.size() - 1;
-  }
-  std::printf(
-      "%zu jobs on %u workers in %.3fs: %zu done, %zu memout, %zu timeout, "
-      "%zu cancelled, %zu inconclusive, %zu error; %zu retr%s used\n",
-      records.size(), pool.workers(), total_seconds, done, memout, timeout,
-      cancelled, inconclusive, error, retries, retries == 1 ? "y" : "ies");
-
+  StatusCounts counts;
+  unsigned retries = 0;
   bool ok = true;
-  for (const obs::JobRecord& rec : records) {
-    if (rec.status == "error") {
-      std::fprintf(stderr, "job %s failed: %s\n", rec.name.c_str(),
-                   rec.message.c_str());
+  for (const run::JobRow& row : rows) {
+    const run::JobResult& r = row.result;
+    counts.add(r.status);
+    retries += r.retriesUsed();
+    const std::string name = row.spec.displayName();
+    if (r.status == RunStatus::kError) {
+      std::fprintf(stderr, "job %s failed: %s\n", name.c_str(),
+                   r.message.c_str());
       ok = false;
-    } else if (args.strict &&
-               (rec.status == "M.O." || rec.status == "T.O.")) {
+    } else if (args.strict && (r.status == RunStatus::kMemOut ||
+                               r.status == RunStatus::kTimeOut)) {
       std::fprintf(stderr, "job %s exceeded its budget (%s): %s\n",
-                   rec.name.c_str(), rec.status.c_str(),
-                   rec.message.c_str());
+                   name.c_str(), to_string(r.status).c_str(),
+                   r.message.c_str());
       ok = false;
     }
   }
+  std::printf("%zu jobs on %u workers in %.3fs: %s; %u retr%s used\n",
+              rows.size(), pool.workers(), total_seconds,
+              counts.summary().c_str(), retries, retries == 1 ? "y" : "ies");
 
   if (!args.jobs_path.empty()) {
-    const std::string payload =
-        obs::jobsReportJson(manifestStem(args.manifest), pool.workers(),
-                            total_seconds, records);
-    std::FILE* f = std::fopen(args.jobs_path.c_str(), "w");
-    if (f == nullptr) {
+    std::string payload = run::jobsReport(
+        manifestStem(args.manifest), pool.workers(), total_seconds, rows);
+    payload += '\n';
+    if (!util::writeFile(args.jobs_path, payload)) {
       std::fprintf(stderr, "cannot write %s\n", args.jobs_path.c_str());
       return 1;
     }
-    std::fputs(payload.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote %s (%zu jobs)\n", args.jobs_path.c_str(),
-                records.size());
+    std::printf("wrote %s (%zu jobs)\n", args.jobs_path.c_str(), rows.size());
   }
   return ok ? 0 : 1;
 }

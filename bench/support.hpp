@@ -1,9 +1,9 @@
 // Shared harness plumbing for the experiment binaries: circuit/order
 // suites, engine runners, fixed-width table printing in the style of the
-// paper's tables, and the JSON glue — `--json` / `--trace` flag parsing,
-// the summary run object, and the adapter from a traced ReachResult to an
-// obs report. (The JSON writer itself lives in src/util/json.hpp; the
-// bench/json.hpp forwarding shim that used to sit in between is gone.)
+// paper's tables, and the `--json` / `--trace` flag parsing. The rows and
+// trace reports themselves are written by src/reach (reach/report.hpp)
+// from each run's ReachResult; only the lz row, which has no BDD
+// counters, is written here.
 //
 // Every bench accepts `--json[=path]` (one summary object per run, default
 // BENCH_<name>.json) and `--trace[=path]` (one full per-iteration report
@@ -19,8 +19,8 @@
 #include "circuit/generators.hpp"
 #include "circuit/orders.hpp"
 #include "lz/lz_reach.hpp"
-#include "obs/report.hpp"
 #include "reach/engine.hpp"
+#include "reach/report.hpp"
 #include "sym/space.hpp"
 #include "util/json.hpp"
 
@@ -118,7 +118,7 @@ inline lz::LzResult runLzOnce(const circuit::Netlist& n, double max_seconds,
   return lz::lzReach(n, o);
 }
 
-/// Summary row of an lz run. Deliberately NOT the BDD runObject schema:
+/// Summary row of an lz run. Deliberately NOT the BDD reach::runRow schema:
 /// there are no nodes and no recursive steps, and emitting them as zeros
 /// would make tools/perf_smoke.py gate future runs against a zero baseline
 /// (an infinite regression ratio). The lz-specific counters ride instead.
@@ -185,62 +185,13 @@ inline JsonLog traceLogFromArgs(int argc, char** argv,
                                "TRACE_" + bench_name + ".json");
 }
 
-/// The common fields of one engine run (everything the tables print, plus
-/// the op counters the tables do not have room for). Table 3's reached-set
-/// sizes are not here: bench_table3 computes and adds them itself.
-inline JsonObject runObject(const std::string& circuit,
-                            const std::string& order,
-                            const std::string& engine,
-                            const reach::ReachResult& r) {
-  JsonObject o;
-  o.add("circuit", circuit)
-      .add("order", order)
-      .add("engine", engine)
-      .add("status", to_string(r.status))
-      .add("seconds", r.seconds)
-      .add("iterations", r.iterations)
-      .add("states", r.states)
-      .add("peak_live_nodes", r.peak_live_nodes)
-      .add("top_ops", r.ops.top_ops)
-      .add("recursive_steps", r.ops.recursive_steps)
-      .add("cache_lookups", r.ops.cache_lookups)
-      .add("cache_hits", r.ops.cache_hits)
-      .add("cache_inserts", r.ops.cache_inserts)
-      .add("cache_collisions", r.ops.cache_collisions)
-      .add("nodes_created", r.ops.nodes_created)
-      .add("gc_runs", r.ops.gc_runs)
-      .add("reorder_runs", r.ops.reorder_runs)
-      .add("reorder_swaps", r.ops.reorder_swaps)
-      .add("reorder_nodes_saved", r.ops.reorder_nodes_saved)
-      .addRaw("op_cache", obs::opCacheJson(r.ops));
-  return o;
-}
-
-/// Run-level summary of a ReachResult in the form the obs reports expect.
-inline obs::RunMeta traceMeta(const std::string& circuit,
-                              const std::string& order,
-                              const std::string& engine,
-                              const reach::ReachResult& r) {
-  obs::RunMeta m;
-  m.circuit = circuit;
-  m.order = order;
-  m.engine = engine;
-  m.status = to_string(r.status);
-  m.seconds = r.seconds;
-  m.iterations = r.iterations;
-  m.states = r.states;
-  m.peak_live_nodes = r.peak_live_nodes;
-  m.ops = r.ops;
-  return m;
-}
-
 /// Push the run's full per-iteration report into the trace log. No-op when
 /// the log is disabled or the run was not traced.
 inline void pushTrace(JsonLog& log, const std::string& circuit,
                       const std::string& order, const std::string& engine,
                       const reach::ReachResult& r) {
   if (!log.enabled() || !r.trace.has_value()) return;
-  log.push(obs::reportJson(traceMeta(circuit, order, engine, r), *r.trace));
+  log.push(reach::traceReport(circuit, order, engine, r));
 }
 
 /// "time(s)" cell: the run time, or T.O. / M.O. like the paper's Table 2.

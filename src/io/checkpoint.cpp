@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/file.hpp"
+
 namespace bfvr::io {
 
 namespace {
@@ -151,14 +153,12 @@ void save(const std::string& path, const Checkpoint& c) {
   const std::vector<std::uint8_t> file = encode(c);
 
   // Atomic publish: write the sibling tmp file, then rename over the
-  // destination. A crash mid-write leaves the old checkpoint intact.
+  // destination. A crash or a failed write leaves the old checkpoint intact.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("checkpoint: cannot open " + tmp);
-    out.write(reinterpret_cast<const char*>(file.data()),
-              static_cast<std::streamsize>(file.size()));
-    if (!out) throw Error("checkpoint: short write to " + tmp);
+  if (!util::writeFile(tmp, {reinterpret_cast<const char*>(file.data()),
+                             file.size()})) {
+    std::remove(tmp.c_str());
+    throw Error("checkpoint: cannot write " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
@@ -210,6 +210,13 @@ Checkpoint decode(const std::uint8_t* data, std::size_t n, Manager& m) {
     throw Error("checkpoint: variable count mismatch (file " +
                 std::to_string(c.level2var.size()) + ", manager " +
                 std::to_string(m.numVars()) + ")");
+  }
+  std::vector<bool> placed(c.level2var.size());
+  for (const unsigned v : c.level2var) {
+    if (v >= placed.size() || placed[v]) {
+      throw Error("checkpoint: variable order is not a permutation");
+    }
+    placed[v] = true;
   }
   // Restore the recorded order before decoding: with the same order the
   // rebuilt DAG is canonical node-for-node as saved, which is what makes

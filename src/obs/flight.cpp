@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "util/file.hpp"
+
 namespace bfvr::obs {
 namespace {
 
@@ -115,11 +117,7 @@ std::string FlightRecorder::json(const std::string& reason) const {
 
 bool FlightRecorder::dump(const std::string& path,
                           const std::string& reason) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = json(reason);
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  return std::fclose(f) == 0 && ok;
+  return util::writeFile(path, json(reason));
 }
 
 }  // namespace bfvr::obs

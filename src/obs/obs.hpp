@@ -7,8 +7,10 @@
 // BDD operations go (reparam vs union vs image). This module is the
 // substrate that makes those trajectories visible per iteration instead of
 // only as end-of-run aggregates: every engine fills a RunTrace when
-// ReachOptions::trace is on, and obs/report.hpp serializes it as JSON (for
-// tooling) or an aligned text table (for humans).
+// ReachOptions::trace is on. obs/report.hpp holds the JSON formats of
+// these types; the run's TRACE report around them (JSON for tooling, an
+// aligned text table for humans) is written by src/reach
+// (reach/report.hpp) from the ReachResult that carries the trace.
 //
 // Everything here is opt-in: a disabled PhaseTimer::Scope is a null
 // pointer, and no trace structure is allocated unless requested.

@@ -1,144 +1,48 @@
-// Machine- and human-readable run reports for a RunTrace: one JSON object
-// per run (nested per-iteration records and manager events — the payload of
-// the benches' `--trace` files) and an aligned-column text table for
-// eyeballing where a run's time and nodes went.
+// Report formats of the observability types — phase splits, per-iteration
+// records, manager events, the computed-cache counters and the serving
+// layer's span timelines — plus the two writers every run report shares:
+// the counter block and the outcome tally.
 //
-// obs sits below reach, so the run-level summary arrives as a RunMeta the
-// caller fills from its ReachResult (see bench/support.hpp for the adapter).
-//
-// The job runner (src/run) reports at one more level: a batch of jobs
-// scheduled across a worker pool. JobRecord is the per-job summary row and
-// jobsReportJson() the aggregated JOBS_<name>.json payload the `bfv_run`
-// CLI writes.
+// Each report is written by the module that owns the result it reports,
+// straight from that result: src/reach writes the BENCH_* row and the
+// TRACE_* report from a ReachResult (reach/report.hpp), src/run writes
+// JOBS_* from JobSpec + JobResult (run::jobsReport), and svc::Server writes
+// SVC_* and the stats reply from its own state. obs sits below all three
+// and includes none of them.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace bfvr::obs {
-
-/// Run-level summary attached to a trace report; mirrors the fields of
-/// reach::ReachResult the bench summaries already publish.
-struct RunMeta {
-  std::string circuit;
-  std::string order;
-  std::string engine;
-  std::string status = "done";  ///< to_string(RunStatus) tag
-  double seconds = 0.0;
-  unsigned iterations = 0;
-  double states = 0.0;
-  std::size_t peak_live_nodes = 0;
-  bdd::OpStats ops;  ///< whole-run counters (for the overall hit rate)
-};
 
 /// Computed-cache hit rate of a counter snapshot (0 when no lookups).
 double cacheHitRate(const bdd::OpStats& ops) noexcept;
 
 /// Per-operation computed-cache counters as one JSON object: a key per op
 /// tag with lookups (`{"and": {"hits": H, "misses": M}, ...}`), omitting
-/// tags the snapshot never exercised. Shared by the trace reports and the
-/// benches' `--json` summaries.
+/// tags the snapshot never exercised.
 std::string opCacheJson(const bdd::OpStats& ops);
 
-/// One JSON object: meta fields, phase totals, `trace` (array of iteration
-/// records with phase_seconds / ops_delta / cache_hit_rate) and `events`.
-std::string reportJson(const RunMeta& meta, const RunTrace& trace);
+/// The counter block: `top_ops` ... `reorder_nodes_saved` and `op_cache`,
+/// appended to `o`. Written flat into the BENCH rows (bench_setops rows
+/// too), and nested by opStatsJson as the JOBS `ops` and TRACE
+/// `ops_delta` objects.
+util::JsonObject& addOpStats(util::JsonObject& o, const bdd::OpStats& ops);
+std::string opStatsJson(const bdd::OpStats& ops);
 
-/// Aligned-column text rendering of the same report.
-std::string reportTable(const RunMeta& meta, const RunTrace& trace);
+/// The outcome tally: `<prefix><countKey(status)>` for every RunStatus, in
+/// enum order — the JOBS and SVC totals ("jobs_") and the SVC tenant rows.
+util::JsonObject& addStatusCounts(util::JsonObject& o, const StatusCounts& c,
+                                  const std::string& prefix);
 
-/// One executed attempt of a retried job (mirror of run::AttemptRecord,
-/// kept as plain data so obs stays below run).
-struct JobAttempt {
-  std::string status;      ///< to_string(RunStatus) tag
-  std::string message;     ///< failure reason; empty if done
-  std::string escalation;  ///< retry step applied ("" for the first attempt)
-  double seconds = 0.0;
-  bool resumed = false;               ///< restarted from a checkpoint file
-  std::uint64_t faults_injected = 0;  ///< injected faults hit this attempt
-};
-
-/// One scheduled job of a batch/portfolio run — what the job runner knows
-/// after the worker finished (or failed, timed out, or was cancelled by a
-/// winning portfolio sibling). Plain data, so obs stays below run.
-struct JobRecord {
-  std::string name;     ///< job name (portfolio variants: "<job>/<engine>")
-  std::string circuit;
-  std::string order;
-  std::string engine;
-  std::string status = "done";  ///< to_string(RunStatus) tag
-  /// Why the job did not finish: exception text, budget/live-node counts
-  /// for memouts, the exceeded deadline for timeouts. Empty iff "done".
-  std::string message;
-  unsigned worker = 0;          ///< pool worker index that ran the job
-  double queue_seconds = 0.0;   ///< time spent waiting for a worker
-  double seconds = 0.0;         ///< execution wall-clock (setup + engine)
-  unsigned iterations = 0;
-  double states = 0.0;
-  std::size_t peak_live_nodes = 0;
-  bdd::OpStats ops;
-  /// Per-attempt history; size > 1 only when a RetryPolicy re-ran the job
-  /// after memout attempts (the `attempts` array of the JSON record).
-  std::vector<JobAttempt> attempts;
-  /// Portfolio bookkeeping: the race's group name (empty for plain jobs)
-  /// and whether this variant was the race's first conclusive finisher.
-  std::string group;
-  bool winner = false;
-  /// Full per-iteration report (reportJson) when the job was traced; empty
-  /// otherwise.
-  std::string trace_json;
-};
-
-/// The aggregated batch report: one JSON object with batch-level meta
-/// (manifest name, worker count, wall-clock, per-status job counts) and a
-/// `jobs` array of JobRecord objects (each embedding its trace report when
-/// present).
-std::string jobsReportJson(const std::string& batch, unsigned workers,
-                           double total_seconds,
-                           std::span<const JobRecord> jobs);
-
-/// Per-tenant counters of a serving run (src/svc). Plain data, so obs
-/// stays below svc the same way it stays below run.
-struct SvcTenantStats {
-  std::string name;
-  unsigned weight = 1;
-  std::uint64_t submitted = 0;  ///< submissions received (admitted or not)
-  std::uint64_t rejected = 0;   ///< refused by admission control
-  std::uint64_t done = 0;
-  std::uint64_t timeout = 0;
-  std::uint64_t memout = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t error = 0;
-  /// Sound-but-approximate completions (the lz engine's over-approximating
-  /// runs): terminal, not an error, never a conclusive answer.
-  std::uint64_t inconclusive = 0;
-  std::uint64_t evictions = 0;  ///< suspend-to-checkpoint events
-  std::uint64_t resumes = 0;    ///< jobs restarted from an eviction image
-  double queue_seconds = 0.0;   ///< total time jobs waited for a worker
-  double exec_seconds = 0.0;    ///< total execution wall-clock
-
-  /// Jobs that reached a terminal status.
-  std::uint64_t finished() const noexcept {
-    return done + timeout + memout + cancelled + error + inconclusive;
-  }
-};
-
-/// Server-level counters of a serving run.
-struct SvcServerStats {
-  std::string name;
-  std::string endpoint;
-  unsigned workers = 0;
-  double seconds = 0.0;           ///< server uptime
-  std::uint64_t sessions = 0;     ///< client sessions accepted
-  std::uint64_t dispatches = 0;   ///< jobs handed to the worker pool
-  std::uint64_t warm_hits = 0;    ///< jobs served a reused warm manager
-  std::uint64_t warm_misses = 0;  ///< jobs that built a fresh manager
-  std::uint64_t resets_failed = 0;  ///< managers destroyed after a job leak
-  std::uint64_t leaked_nodes = 0;   ///< live nodes those leaks orphaned
-};
+/// A traced run's `phase_totals`, `trace` (one object per iteration record:
+/// phase_seconds, ops_delta, cache_hit_rate) and `events`, appended to `o`.
+util::JsonObject& addRunTrace(util::JsonObject& o, const RunTrace& trace);
 
 /// One stamped moment on a job's span timeline. `t` is seconds since the
 /// span opened (the submit frame arriving); `what` is the lifecycle step
@@ -170,27 +74,5 @@ struct JobSpan {
 
 /// One span as a JSON object (trace id, tenant, status, workers, events).
 std::string spanJson(const JobSpan& s);
-
-/// Live-state additions to the serving report: current scheduler depth and
-/// recent span timelines, plus a metrics document to embed verbatim.
-struct SvcReportExtras {
-  std::uint64_t queue_depth = 0;  ///< jobs admitted but not yet dispatched
-  std::uint64_t running = 0;      ///< jobs currently on a worker
-  std::span<const JobSpan> spans;
-  std::string metrics_json;  ///< Registry::json() output; "" to omit
-  std::string flight_json;   ///< FlightRecorder::json() output; "" to omit
-};
-
-/// The SVC_<name>.json payload: server meta + totals ("jobs_done",
-/// "leaked_nodes", ...) + a `tenants` array of per-tenant objects. The
-/// soak harness greps the totals, so their keys are part of the report's
-/// contract. The extras overload appends `queue_depth`/`running`, a
-/// `spans` array, and an embedded `metrics` object — the same document
-/// serves SVC_*.json and the live Stats reply.
-std::string svcReportJson(const SvcServerStats& server,
-                          std::span<const SvcTenantStats> tenants);
-std::string svcReportJson(const SvcServerStats& server,
-                          std::span<const SvcTenantStats> tenants,
-                          const SvcReportExtras& extras);
 
 }  // namespace bfvr::obs

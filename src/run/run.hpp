@@ -238,6 +238,23 @@ struct JobResult {
   }
 };
 
+/// One job of a batch report: the spec that ran, how it ended, and its
+/// portfolio bookkeeping — the race's group name (empty for a plain job)
+/// and whether this variant was the race's first conclusive finisher.
+struct JobRow {
+  JobSpec spec;
+  JobResult result;
+  std::string group;
+  bool winner = false;
+};
+
+/// The JOBS_<batch>.json report: batch meta (name, worker count,
+/// wall-clock), the outcome tally and the retries used over `rows`, and a
+/// `jobs` array with one object per row — its attempts when it was
+/// retried, its trace report (reach::traceReport) when it was traced.
+std::string jobsReport(const std::string& batch, unsigned workers,
+                       double total_seconds, std::span<const JobRow> rows);
+
 /// Materialize a JobSpec's circuit: parse the `.bench` file, or build the
 /// generator. Accepted generator specs: gen:counter:<bits>:<mod>,
 /// gen:johnson:<bits>, gen:lfsr:<bits>, gen:twinshift:<bits>,

@@ -167,7 +167,7 @@ struct StatsQuery {
 };
 
 struct StatsReply {
-  std::string json;  ///< the server metrics report (obs::svcReportJson)
+  std::string json;  ///< the server report (Server::statsJson)
 
   Frame encode() const;
   static StatsReply decode(const Frame& f);

@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "run/manifest.hpp"
 #include "svc/protocol.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace bfvr::svc {
@@ -38,10 +39,9 @@ obs::Counter& tenantCounter(const char* name, const std::string& tenant) {
 
 /// Write `text` to `path`, logging a failure; returns whether it worked.
 bool writeFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (out) out << text;
-  if (!out) obs::logLine(obs::LogLevel::kError, "svc", "cannot write " + path);
-  return static_cast<bool>(out);
+  if (util::writeFile(path, text)) return true;
+  obs::logLine(obs::LogLevel::kError, "svc", "cannot write " + path);
+  return false;
 }
 
 obs::Histogram& dispatchHistogram() {
@@ -79,12 +79,8 @@ Server::Server(const Options& opts)
       table_(!opts.journal_dir.empty()),
       flight_(opts.flight_capacity),
       pool_(opts.workers, opts.warm_managers) {
-  for (const TenantConfig& t : opts.tenants) {
-    obs::SvcTenantStats s;
-    s.name = t.name;
-    s.weight = t.weight;
-    tenant_stats_.push_back(std::move(s));
-  }
+  // Configured tenants report from the start, idle or not.
+  for (const TenantConfig& t : opts.tenants) statsFor(t.name);
   if (!opts_.journal_dir.empty()) {
     journal_ =
         std::make_unique<Journal>(opts_.journal_dir, opts_.journal_fsync);
@@ -527,27 +523,8 @@ void Server::finishLocked(RunStatus status, JobDone done,
   rec.seconds = done.seconds;
   if (journal_ != nullptr) journalAppend(rec);
   table_.apply(rec);
-  obs::SvcTenantStats& ts = statsFor(tenant);
-  switch (status) {
-    case RunStatus::kDone:
-      ts.done += 1;
-      break;
-    case RunStatus::kTimeOut:
-      ts.timeout += 1;
-      break;
-    case RunStatus::kMemOut:
-      ts.memout += 1;
-      break;
-    case RunStatus::kCancelled:
-      ts.cancelled += 1;
-      break;
-    case RunStatus::kError:
-      ts.error += 1;
-      break;
-    case RunStatus::kInconclusive:
-      ts.inconclusive += 1;
-      break;
-  }
+  TenantStats& ts = statsFor(tenant);
+  ts.finished.add(status);
   ts.queue_seconds += done.queue_seconds;
   ts.exec_seconds += done.seconds;
   tenantCounter("bfvr_svc_jobs_finished_total", tenant).inc();
@@ -862,17 +839,16 @@ std::shared_ptr<Server::Session> Server::sessionById(std::uint64_t id) {
   return it != sessions_.end() ? it->second : nullptr;
 }
 
-obs::SvcTenantStats& Server::statsFor(const std::string& tenant) {
-  for (obs::SvcTenantStats& t : tenant_stats_) {
+Server::TenantStats& Server::statsFor(const std::string& tenant) {
+  for (TenantStats& t : tenant_stats_) {
     if (t.name == tenant) return t;
   }
-  obs::SvcTenantStats s;
-  s.name = tenant;
+  TenantStats& t = tenant_stats_.emplace_back();
+  t.name = tenant;
   if (const TenantConfig* cfg = queue_.tenantConfig(tenant)) {
-    s.weight = cfg->weight;
+    t.weight = cfg->weight;
   }
-  tenant_stats_.push_back(std::move(s));
-  return tenant_stats_.back();
+  return t;
 }
 
 std::string Server::spoolPathFor(std::uint64_t job_id) const {
@@ -1032,34 +1008,61 @@ void Server::sampleGaugesLocked() const {
 
 std::string Server::buildReportLocked(std::uint32_t flags) const {
   sampleGaugesLocked();
+  // A tenant's counters under report keys: `<prefix>submitted`,
+  // `<prefix>rejected`, the outcome tally, evictions and resumes.
+  const auto addCounts = [](util::JsonObject& o, const TenantStats& t,
+                            const std::string& prefix) -> util::JsonObject& {
+    o.add(prefix + "submitted", t.submitted)
+        .add(prefix + "rejected", t.rejected);
+    return obs::addStatusCounts(o, t.finished, prefix)
+        .add("evictions", t.evictions)
+        .add("resumes", t.resumes);
+  };
+  TenantStats all;
+  std::vector<std::string> rows;
+  rows.reserve(tenant_stats_.size());
+  for (const TenantStats& t : tenant_stats_) {
+    util::JsonObject o;
+    o.add("tenant", t.name).add("weight", t.weight);
+    addCounts(o, t, "")
+        .add("queue_seconds", t.queue_seconds)
+        .add("exec_seconds", t.exec_seconds);
+    rows.push_back(o.str());
+    all.submitted += t.submitted;
+    all.rejected += t.rejected;
+    all.finished += t.finished;
+    all.evictions += t.evictions;
+    all.resumes += t.resumes;
+  }
   const run::ManagerCache::Stats warm = pool_.warmStats();
-  obs::SvcServerStats server;
-  server.name = opts_.name;
-  server.endpoint = endpoint_.describe();
-  server.workers = pool_.workers();
-  server.seconds = uptime_.seconds();
-  server.sessions = sessions_accepted_;
-  server.dispatches = dispatches_;
-  server.warm_hits = warm.hits;
-  server.warm_misses = warm.misses;
-  server.resets_failed = warm.resets_failed;
-  server.leaked_nodes = warm.leaked_nodes;
-  obs::SvcReportExtras extras;
-  extras.queue_depth = queue_.queuedCount();
-  extras.running = running_.size();
-  std::vector<obs::JobSpan> spans;
-  if ((flags & StatsQuery::kIncludeSpans) != 0) {
+  util::JsonObject root;
+  root.add("server", opts_.name)
+      .add("endpoint", endpoint_.describe())
+      .add("workers", pool_.workers())
+      .add("seconds", uptime_.seconds())
+      .add("sessions", sessions_accepted_)
+      .add("dispatches", dispatches_);
+  addCounts(root, all, "jobs_")
+      .add("warm_hits", warm.hits)
+      .add("warm_misses", warm.misses)
+      .add("resets_failed", warm.resets_failed)
+      .add("leaked_nodes", warm.leaked_nodes)
+      .add("queue_depth", static_cast<std::uint64_t>(queue_.queuedCount()))
+      .add("running", static_cast<std::uint64_t>(running_.size()))
+      .addRaw("tenants", util::jsonArray(rows));
+  if ((flags & StatsQuery::kIncludeSpans) != 0 && !spans_.empty()) {
+    std::vector<std::string> spans;
     spans.reserve(spans_.size());
-    for (const auto& [id, span] : spans_) spans.push_back(span);
-    extras.spans = spans;
+    for (const auto& [id, span] : spans_) spans.push_back(obs::spanJson(span));
+    root.addRaw("spans", util::jsonArray(spans));
   }
   if ((flags & StatsQuery::kIncludeMetrics) != 0) {
-    extras.metrics_json = obs::Registry::global().json();
+    root.addRaw("metrics", obs::Registry::global().json());
   }
   if ((flags & StatsQuery::kIncludeFlight) != 0) {
-    extras.flight_json = flight_.json("stats-query");
+    root.addRaw("flight", flight_.json("stats-query"));
   }
-  return obs::svcReportJson(server, tenant_stats_, extras);
+  return root.str();
 }
 
 std::string Server::statsJson() const {

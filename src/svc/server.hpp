@@ -131,8 +131,11 @@ class Server {
     waitStopped();
   }
 
-  /// The server metrics report (obs::svcReportJson) with the default
-  /// sections (metrics + spans), valid at any time.
+  /// The SVC_<name>.json report, valid at any time: server meta, the
+  /// totals across tenants ("jobs_done", "leaked_nodes", ... — the soak
+  /// harness greps them, so their keys are part of the contract), the
+  /// current queue depth and running count, and a `tenants` array; then
+  /// the default sections (metrics + spans).
   std::string statsJson() const;
   /// Same report with an explicit StatsQuery section selection.
   std::string statsJson(std::uint32_t flags) const;
@@ -166,6 +169,20 @@ class Server {
     Fd fd;
     std::mutex write_mu;
     std::atomic<bool> alive{true};
+  };
+
+  /// Per-tenant counters of the serving run: one `tenants` row each, and
+  /// summed into the report's totals.
+  struct TenantStats {
+    std::string name;
+    unsigned weight = 1;
+    std::uint64_t submitted = 0;  ///< submissions received (admitted or not)
+    std::uint64_t rejected = 0;   ///< refused by admission control
+    StatusCounts finished;        ///< jobs that reached a terminal status
+    std::uint64_t evictions = 0;  ///< suspend-to-checkpoint events
+    std::uint64_t resumes = 0;    ///< jobs restarted from an eviction image
+    double queue_seconds = 0.0;   ///< total time jobs waited for a worker
+    double exec_seconds = 0.0;    ///< total execution wall-clock
   };
 
   /// A job the pool is currently executing.
@@ -210,7 +227,7 @@ class Server {
   bool sendIfWritable(const std::shared_ptr<Session>& s, const Frame& f);
   /// The live session `id`, or nullptr. Caller holds mu_.
   std::shared_ptr<Session> sessionById(std::uint64_t id);
-  obs::SvcTenantStats& statsFor(const std::string& tenant);
+  TenantStats& statsFor(const std::string& tenant);
   std::string spoolPathFor(std::uint64_t job_id) const;
   /// Apply every recovered record, then re-admit the live jobs (retiring
   /// any that cannot be). Runs in the constructor, before any session.
@@ -253,7 +270,7 @@ class Server {
   bool stopped_ = false;
   std::uint64_t sessions_accepted_ = 0;
   std::uint64_t dispatches_ = 0;
-  std::vector<obs::SvcTenantStats> tenant_stats_;
+  std::vector<TenantStats> tenant_stats_;
 
   // Durability state (populated only when opts_.journal_dir is set).
   std::unique_ptr<Journal> journal_;

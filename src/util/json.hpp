@@ -1,20 +1,18 @@
-// Shared JSON writer for machine-readable outputs: bench summaries
-// (BENCH_*.json), per-iteration trace reports (TRACE_*.json, see
-// obs/report.hpp) and anything else that wants a line-stable, dependency-
-// free serialization.
+// Shared JSON writer for machine-readable outputs: bench rows and trace
+// reports (BENCH_*.json, TRACE_*.json, see reach/report.hpp), the JOBS_*
+// and SVC_* reports, and anything else that wants a line-stable,
+// dependency-free serialization.
 //
-// Promoted from the bench harness so the observability layer, the job
-// runner and the benches all use one writer (the bench-side glue lives in
-// bench/support.hpp).
-//
-// Deliberately tiny: an ordered field builder and an array-file writer, no
-// external dependency.
+// Deliberately tiny: an ordered field builder and an array-file writer
+// (over util::writeFile), no external dependency.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "util/file.hpp"
 
 namespace bfvr::util {
 
@@ -118,18 +116,16 @@ class JsonLog {
   /// Write the array file; returns false (with a stderr note) on IO error.
   bool write() const {
     if (!enabled()) return true;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
+    std::string text = "[\n";
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      text.append("  ").append(entries_[i]);
+      text += i + 1 < entries_.size() ? ",\n" : "\n";
+    }
+    text += "]\n";
+    if (!writeFile(path_, text)) {
       std::fprintf(stderr, "cannot write %s\n", path_.c_str());
       return false;
     }
-    std::fputs("[\n", f);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      std::fprintf(f, "  %s%s\n", entries_[i].c_str(),
-                   i + 1 < entries_.size() ? "," : "");
-    }
-    std::fputs("]\n", f);
-    std::fclose(f);
     std::printf("wrote %s (%zu runs)\n", path_.c_str(), entries_.size());
     return true;
   }

@@ -2,6 +2,7 @@
 // engines and the benchmark harness.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -51,6 +52,28 @@ std::string to_string(RunStatus s);
 /// Inverse of to_string(RunStatus), so trace/JSON files can be re-ingested
 /// by tooling. Returns std::nullopt for an unrecognized tag.
 std::optional<RunStatus> parse_run_status(std::string_view s);
+
+inline constexpr std::size_t kNumRunStatuses = 6;
+
+/// Report key of a status count: "done" / "timeout" / "memout" /
+/// "cancelled" / "error" / "inconclusive" (the JOBS and SVC totals prefix
+/// it with "jobs_").
+const char* countKey(RunStatus s) noexcept;
+
+/// How many runs ended in each status: the one outcome tally behind the
+/// JOBS totals, the CLIs' roll-up lines and the SVC tenant rows and totals.
+struct StatusCounts {
+  std::array<std::uint64_t, kNumRunStatuses> n{};
+
+  void add(RunStatus s) noexcept { ++n[static_cast<std::size_t>(s)]; }
+  std::uint64_t operator[](RunStatus s) const noexcept {
+    return n[static_cast<std::size_t>(s)];
+  }
+  std::uint64_t total() const noexcept;
+  StatusCounts& operator+=(const StatusCounts& o) noexcept;
+  /// "2 done, 0 timeout, 1 memout, 0 cancelled, 0 error, 0 inconclusive".
+  std::string summary() const;
+};
 
 /// Resource budget checked inside long-running loops.
 struct Budget {

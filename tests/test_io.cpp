@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -299,6 +300,51 @@ TEST_F(CheckpointCorruption, ForgedReachedRootCountIsRejected) {
 
 TEST_F(CheckpointCorruption, ForgedFrontierRootCountIsRejected) {
   expectForgedCountRejected(bytes_, test::CheckpointCount::kFrontier);
+}
+
+TEST_F(CheckpointCorruption, OrderThatIsNotAPermutation) {
+  // A CRC-valid image whose variable order repeats a variable, or names
+  // one the manager does not have, is an io::Error before the decoder
+  // touches the manager's order.
+  const std::vector<std::uint8_t> clean(bytes_.begin(), bytes_.end());
+  for (const std::uint32_t var : {0U, 4U}) {
+    std::vector<std::uint8_t> image = clean;
+    test::forgeOrderEntry(image, 1, var);
+    Manager m(4);
+    const std::vector<unsigned> order = m.currentOrder();
+    EXPECT_THROW(decode(image.data(), image.size(), m), Error)
+        << "level2var[1] = " << var;
+    EXPECT_EQ(m.currentOrder(), order);
+  }
+}
+
+TEST(CheckpointFile, FailedWriteKeepsThePreviousCheckpoint) {
+  // The tmp file links to a full device. The image is small enough that
+  // its write succeeds into the stdio buffer and only the close fails; the
+  // save must throw and leave the previous checkpoint where it was.
+  const std::string path = tmpPath("full.bin");
+  const std::string tmp = path + ".tmp";
+  const circuit::Netlist n = circuit::makeCounter(5, 20);
+  Manager m(0);
+  sym::StateSpace s(m, n, circuit::makeOrder(n, {}));
+  reach::ReachOptions opts;
+  opts.checkpoint_path = path;
+  opts.checkpoint_every = 1;
+  opts.max_iterations = 3;
+  ASSERT_EQ(reach::reachBfv(s, opts).status, RunStatus::kDone);
+  const std::vector<char> before = slurp(path);
+  ASSERT_EQ(before.size(), 243U);
+  const Checkpoint c = load(path, m);
+  std::filesystem::remove(tmp);
+  std::filesystem::create_symlink("/dev/full", tmp);
+  EXPECT_THROW(save(path, c), Error);
+  EXPECT_FALSE(std::filesystem::is_symlink(tmp));  // the tmp link is gone
+  // Reading /dev/full never ends: make sure the path is still the file.
+  ASSERT_EQ(std::filesystem::symlink_status(path).type(),
+            std::filesystem::file_type::regular);
+  EXPECT_EQ(slurp(path), before);
+  std::filesystem::remove(tmp);
+  std::filesystem::remove(path);
 }
 
 TEST(CheckpointFile, SaveIsAtomicNoTmpLeftBehind) {

@@ -1,7 +1,7 @@
 // The observability layer: phase-timer nesting, per-iteration reach traces
 // across all four engines, manager event hooks and the JSON report
-// round-trip (serialize with obs::reportJson, re-parse with a minimal JSON
-// reader, compare against the in-memory trace).
+// round-trip (serialize with reach::traceReport, re-parse with a minimal
+// JSON reader, compare against the in-memory trace).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "circuit/generators.hpp"
 #include "obs/report.hpp"
 #include "reach/engine.hpp"
+#include "reach/report.hpp"
 #include "util/stats.hpp"
 
 #ifndef BFVR_DATA_DIR
@@ -431,17 +432,7 @@ TEST(Report, JsonRoundTripsOnShippedCircuit) {
   ASSERT_TRUE(r.trace.has_value());
   ASSERT_GE(r.trace->iterations.size(), 2U);
 
-  obs::RunMeta meta;
-  meta.circuit = n.name();
-  meta.order = "topo";
-  meta.engine = "BFV-Fig2";
-  meta.status = to_string(r.status);
-  meta.seconds = r.seconds;
-  meta.iterations = r.iterations;
-  meta.states = r.states;
-  meta.peak_live_nodes = r.peak_live_nodes;
-  meta.ops = r.ops;
-  const std::string json = obs::reportJson(meta, *r.trace);
+  const std::string json = reach::traceReport(n.name(), "topo", "BFV-Fig2", r);
 
   const JsonValue root = JsonParser(json).parse();
   ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
@@ -486,11 +477,8 @@ TEST(Report, JsonRoundTripsOnShippedCircuit) {
 }
 
 TEST(Report, TableRendersEveryIteration) {
-  obs::RunMeta meta;
-  meta.circuit = "toy";
-  meta.order = "natural";
-  meta.engine = "TR";
-  meta.iterations = 2;
+  reach::ReachResult r;
+  r.iterations = 2;
   obs::RunTrace trace;
   for (unsigned i = 1; i <= 2; ++i) {
     obs::IterationRecord rec;
@@ -505,7 +493,8 @@ TEST(Report, TableRendersEveryIteration) {
   ev.size_before = 100;
   ev.size_after = 40;
   trace.events.push_back(ev);
-  const std::string table = obs::reportTable(meta, trace);
+  r.trace = trace;
+  const std::string table = reach::traceTable("toy", "natural", "TR", r);
   EXPECT_NE(table.find("toy / natural / TR"), std::string::npos);
   EXPECT_NE(table.find("iter"), std::string::npos);
   EXPECT_NE(table.find("[gc] 100 -> 40"), std::string::npos);

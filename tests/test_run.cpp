@@ -738,6 +738,41 @@ TEST(RunResume, ForgedCountImageFallsBackToAFreshRun) {
   }
 }
 
+TEST(RunResume, ImageWhoseOrderRepeatsAVariableFallsBackToAFreshRun) {
+  // An iteration-0 image this bfv job could continue, except that its
+  // variable order names variable level2var[0] twice (CRC recomputed). The
+  // decoder rejects the order with an io::Error, so the job runs fresh
+  // and ends done with the clean run's counters, not kError.
+  JobSpec spec;
+  spec.circuit = "gen:counter:5:20";
+  const JobResult clean = executeJob(spec);
+  ASSERT_EQ(clean.status, RunStatus::kDone);
+  std::vector<std::uint8_t> image;
+  {
+    Manager m(0);
+    const circuit::Netlist n = resolveCircuit(spec.circuit);
+    sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
+    io::Checkpoint c;
+    c.engine = "bfv";
+    c.kind = io::RootKind::kBfv;
+    c.level2var = m.currentOrder();
+    c.choice_vars = s.currentVars();
+    c.reached = c.frontier =
+        bfv::Bfv::point(m, s.currentVars(), s.initialBits()).comps();
+    image = io::encode(c);
+    test::forgeOrderEntry(image, 1, c.level2var[0]);
+  }
+  spec.resume_image = std::make_shared<std::vector<std::uint8_t>>(image);
+  const JobResult r = executeJob(spec);
+  ASSERT_EQ(r.status, RunStatus::kDone) << r.message;
+  EXPECT_EQ(r.reach.states, 20.0);
+  ASSERT_FALSE(r.attempts.empty());
+  EXPECT_FALSE(r.attempts.front().resumed);
+  EXPECT_EQ(r.reach.iterations, clean.reach.iterations);
+  EXPECT_EQ(r.reach.peak_live_nodes, clean.reach.peak_live_nodes);
+  EXPECT_EQ(r.reach.ops.recursive_steps, clean.reach.ops.recursive_steps);
+}
+
 TEST(RunResume, RejectedImageFallsBackUnderTheJobsOwnOrder) {
   // Decoding installs an image's variable order before it reads the node
   // table. An image rejected after that point, by the decoder or by the

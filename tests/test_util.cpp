@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -106,6 +109,39 @@ TEST(RunStatus, ParseRejectsUnknownTags) {
   EXPECT_FALSE(parse_run_status("Done").has_value());
   EXPECT_FALSE(parse_run_status("timeout").has_value());
   EXPECT_FALSE(parse_run_status("T.O").has_value());
+}
+
+TEST(RunStatus, TallyGivesEveryStatusItsOwnBucket) {
+  // Status i is counted i + 1 times: a status folded into another's bucket
+  // (an inconclusive job counted as an error) shows up as a wrong count.
+  StatusCounts c;
+  for (std::size_t i = 0; i < kNumRunStatuses; ++i) {
+    for (std::size_t k = 0; k <= i; ++k) c.add(static_cast<RunStatus>(i));
+  }
+  std::set<std::string> keys;
+  for (std::size_t i = 0; i < kNumRunStatuses; ++i) {
+    const auto s = static_cast<RunStatus>(i);
+    EXPECT_EQ(c[s], i + 1) << to_string(s);
+    keys.insert(countKey(s));
+  }
+  EXPECT_EQ(keys.size(), kNumRunStatuses);
+  EXPECT_EQ(c.total(), 21U);
+  EXPECT_EQ(c.summary(),
+            "1 done, 2 timeout, 3 memout, 4 cancelled, 5 error, "
+            "6 inconclusive");
+  StatusCounts twice = c;
+  twice += c;
+  EXPECT_EQ(twice[RunStatus::kInconclusive], 12U);
+}
+
+TEST(JsonLog, WriteToAFullDeviceFails) {
+  // The array is far below the stdio buffer, so the write itself succeeds
+  // and only the close reports the full device.
+  util::JsonLog log("/dev/full");
+  util::JsonObject o;
+  o.add("k", 1);
+  log.push(o);
+  EXPECT_FALSE(log.write());
 }
 
 }  // namespace
