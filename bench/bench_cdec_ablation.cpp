@@ -110,20 +110,20 @@ void reachBackends(JsonLog& log, JsonLog& trace) {
       circuit::makeJohnson(16), circuit::makeRandomSeq(12, 4, 60, 3)};
   for (const auto& n : circuits) {
     RunSpec a;
-    a.engine = RunSpec::Engine::kBfv;
+    a.engine = reach::Engine::kBfv;
     a.opts.budget.max_seconds = 20.0;
     a.opts.trace = trace.enabled();
     RunSpec b = a;
-    b.engine = RunSpec::Engine::kCdec;
+    b.engine = reach::Engine::kCdec;
     const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
     const reach::ReachResult ra = runOnce(n, order, a);
     const reach::ReachResult rb = runOnce(n, order, b);
-    log.push(reach::runRow(n.name(), order.label(), engineName(a.engine),
+    log.push(reach::runRow(n.name(), order.label(), reach::label(a.engine),
                            ra));
-    log.push(reach::runRow(n.name(), order.label(), engineName(b.engine),
+    log.push(reach::runRow(n.name(), order.label(), reach::label(b.engine),
                            rb));
-    pushTrace(trace, n.name(), order.label(), engineName(a.engine), ra);
-    pushTrace(trace, n.name(), order.label(), engineName(b.engine), rb);
+    pushTrace(trace, n.name(), order.label(), reach::label(a.engine), ra);
+    pushTrace(trace, n.name(), order.label(), reach::label(b.engine), rb);
     std::printf("%-10s | %10s %9s | %10s %9s\n", n.name().c_str(),
                 timeCell(ra).c_str(), peakCell(ra).c_str(),
                 timeCell(rb).c_str(), peakCell(rb).c_str());

@@ -18,16 +18,15 @@ int main(int argc, char** argv) {
       circuit::makeJohnson(16), circuit::makeTwinShift(12),
       circuit::makeFifoCtrl(3), circuit::makeLfsr(10),
       circuit::makeRandomSeq(12, 4, 60, 7)};
-  const RunSpec::Engine engines[] = {
-      RunSpec::Engine::kTrMono, RunSpec::Engine::kTr, RunSpec::Engine::kCbm,
-      RunSpec::Engine::kBfv};
+  const reach::Engine engines[] = {reach::Engine::kTrMono, reach::Engine::kTr,
+                                   reach::Engine::kCbm, reach::Engine::kBfv};
 
   std::printf("Fig. 1 vs Fig. 2 flows (order = topo)\n");
   std::printf("%-12s %-10s %10s %9s %6s %10s\n", "circuit", "engine",
               "time(s)", "Peak(K)", "iters", "states");
   hr(64);
   for (const auto& n : circuits) {
-    for (const RunSpec::Engine e : engines) {
+    for (const reach::Engine e : engines) {
       RunSpec spec;
       spec.engine = e;
       spec.opts.budget.max_seconds = 30.0;
@@ -35,8 +34,8 @@ int main(int argc, char** argv) {
       spec.opts.trace = trace.enabled();
       const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
       const reach::ReachResult r = runOnce(n, order, spec);
-      log.push(reach::runRow(n.name(), order.label(), engineName(e), r));
-      pushTrace(trace, n.name(), order.label(), engineName(e), r);
+      log.push(reach::runRow(n.name(), order.label(), reach::label(e), r));
+      pushTrace(trace, n.name(), order.label(), reach::label(e), r);
       char states[32];
       if (r.status == RunStatus::kDone) {
         std::snprintf(states, sizeof states, "%.0f", r.states);
@@ -44,14 +43,14 @@ int main(int argc, char** argv) {
         std::snprintf(states, sizeof states, "-");
       }
       std::printf("%-12s %-10s %10s %9s %6u %10s\n", n.name().c_str(),
-                  engineName(e), timeCell(r).c_str(), peakCell(r).c_str(),
+                  reach::label(e), timeCell(r).c_str(), peakCell(r).c_str(),
                   r.iterations, states);
     }
     const lz::LzResult z = runLzOnce(n, 30.0);
     log.push(lzRunObject(n.name(), z));
-    std::printf("%-12s %-10s %10s %9s %6u %10s\n", n.name().c_str(), "LZ",
-                lzTimeCell(z).c_str(), "-", z.iterations,
-                lzStatesCell(z).c_str());
+    std::printf("%-12s %-10s %10s %9s %6u %10s\n", n.name().c_str(),
+                reach::label(reach::Engine::kLz), lzTimeCell(z).c_str(), "-",
+                z.iterations, lzStatesCell(z).c_str());
     hr(64);
   }
   std::printf(

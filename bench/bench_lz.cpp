@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   rows.push_back({fromData("lfsr32.bench"), 300});
   rows.push_back({fromData("johnson8.bench"), 0});
 
-  const RunSpec::Engine bdd_engines[] = {
-      RunSpec::Engine::kTr, RunSpec::Engine::kCbm, RunSpec::Engine::kBfv};
+  const reach::Engine bdd_engines[] = {reach::Engine::kTr, reach::Engine::kCbm,
+                                       reach::Engine::kBfv};
 
   std::printf("LZ vs BDD engines (BDD order = topo; LZ is order-free)\n");
   std::printf("%-10s %-10s %10s %6s %12s  %s\n", "circuit", "engine",
@@ -59,9 +59,9 @@ int main(int argc, char** argv) {
     const lz::LzResult z = runLzOnce(row.n, 30.0, row.iters);
     log.push(lzRunObject(row.n.name(), z));
     std::printf("%-10s %-10s %10s %6u %12s  %s\n", row.n.name().c_str(),
-                "LZ", lzTimeCell(z).c_str(), z.iterations,
-                lzStatesCell(z).c_str(), z.message.c_str());
-    for (const RunSpec::Engine e : bdd_engines) {
+                reach::label(reach::Engine::kLz), lzTimeCell(z).c_str(),
+                z.iterations, lzStatesCell(z).c_str(), z.message.c_str());
+    for (const reach::Engine e : bdd_engines) {
       RunSpec spec;
       spec.engine = e;
       spec.opts.budget.max_seconds = 30.0;
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
       const reach::ReachResult r = runOnce(row.n, order, spec);
       log.push(
-          reach::runRow(row.n.name(), order.label(), engineName(e), r));
+          reach::runRow(row.n.name(), order.label(), reach::label(e), r));
       char states[32];
       if (r.status == RunStatus::kDone) {
         std::snprintf(states, sizeof states, "%.0f", r.states);
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
         std::snprintf(states, sizeof states, "-");
       }
       std::printf("%-10s %-10s %10s %6u %12s\n", row.n.name().c_str(),
-                  engineName(e), timeCell(r).c_str(), r.iterations, states);
+                  reach::label(e), timeCell(r).c_str(), r.iterations, states);
     }
     hr(72);
   }

@@ -95,7 +95,7 @@ int runCircuits(bench::JsonLog& log, bench::JsonLog& trace) {
   // Small circuits never reach the default 8K trigger; a low threshold
   // makes the auto-reorder path actually fire here.
   bench::RunSpec baseline;
-  baseline.engine = bench::RunSpec::Engine::kTr;
+  baseline.engine = reach::Engine::kTr;
   bench::RunSpec reorder = baseline;
   reorder.mgr.auto_reorder = true;
   reorder.mgr.reorder_threshold = 512;
@@ -126,7 +126,7 @@ int runCircuits(bench::JsonLog& log, bench::JsonLog& trace) {
     for (const circuit::OrderSpec& spec : orderSuite()) {
       const reach::ReachResult probe = bench::runOnce(n, spec, baseline);
       log.push(reach::runRow(name, spec.label(),
-                             bench::engineName(baseline.engine), probe)
+                             reach::label(baseline.engine), probe)
                    .add("mode", "sweep"));
       if (best_peak == 0 || probe.peak_live_nodes < best_peak) {
         best_peak = probe.peak_live_nodes;
@@ -141,16 +141,16 @@ int runCircuits(bench::JsonLog& log, bench::JsonLog& trace) {
     const reach::ReachResult base = bench::runOnce(n, worst, baseline_traced);
     const reach::ReachResult sift = bench::runOnce(n, worst, reorder_traced);
     log.push(reach::runRow(name, worst.label(),
-                           bench::engineName(baseline.engine), base)
+                           reach::label(baseline.engine), base)
                  .add("mode", "worst_baseline"));
     log.push(reach::runRow(name, worst.label(),
-                           bench::engineName(reorder.engine), sift)
+                           reach::label(reorder.engine), sift)
                  .add("mode", "worst_auto_reorder")
                  .add("reorder_threshold", reorder.mgr.reorder_threshold));
     bench::pushTrace(trace, name, worst.label(),
-                     bench::engineName(baseline.engine), base);
+                     reach::label(baseline.engine), base);
     bench::pushTrace(trace, name, worst.label(),
-                     bench::engineName(reorder.engine), sift);
+                     reach::label(reorder.engine), sift);
 
     char sweep[32];
     std::snprintf(sweep, sizeof sweep, "%zu..%zu", best_peak, worst_peak);

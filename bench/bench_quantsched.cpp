@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   hr(60);
   for (const auto& n : circuits) {
     RunSpec stat;
-    stat.engine = RunSpec::Engine::kBfv;
+    stat.engine = reach::Engine::kBfv;
     stat.opts.budget.max_seconds = 30.0;
     stat.opts.reparam.schedule = bfv::QuantSchedule::kStaticOrder;
     stat.opts.trace = trace.enabled();
@@ -46,12 +46,12 @@ int main(int argc, char** argv) {
     const reach::ReachResult a = runOnce(n, order, stat);
     const reach::ReachResult b = runOnce(n, order, dyn);
     log.push(
-        reach::runRow(n.name(), order.label(), engineName(stat.engine), a)
+        reach::runRow(n.name(), order.label(), reach::label(stat.engine), a)
             .add("schedule", "static"));
-    log.push(reach::runRow(n.name(), order.label(), engineName(dyn.engine), b)
+    log.push(reach::runRow(n.name(), order.label(), reach::label(dyn.engine), b)
                  .add("schedule", "dynamic"));
-    pushTrace(trace, n.name(), order.label(), engineName(stat.engine), a);
-    pushTrace(trace, n.name(), order.label(), engineName(dyn.engine), b);
+    pushTrace(trace, n.name(), order.label(), reach::label(stat.engine), a);
+    pushTrace(trace, n.name(), order.label(), reach::label(dyn.engine), b);
     std::printf("%-12s | %10s %9s | %10s %9s\n", n.name().c_str(),
                 timeCell(a).c_str(), peakCell(a).c_str(),
                 timeCell(b).c_str(), peakCell(b).c_str());

@@ -61,16 +61,16 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     for (const circuit::OrderSpec& order : orders) {
       RunSpec tr;
-      tr.engine = RunSpec::Engine::kTr;
+      tr.engine = reach::Engine::kTr;
       tr.opts.budget.max_seconds = quick ? 5.0 : 20.0;
       tr.opts.budget.max_live_nodes = row.node_budget;
       tr.opts.trace = trace.enabled();
       RunSpec bf = tr;
-      bf.engine = RunSpec::Engine::kBfv;
+      bf.engine = reach::Engine::kBfv;
       RunSpec gd = bf;
       gd.opts.frontier = reach::FrontierPolicy::kGuarded;
-      const std::string engines[] = {engineName(tr.engine),
-                                     engineName(bf.engine), "BFV-Guarded"};
+      const std::string engines[] = {reach::label(tr.engine),
+                                     reach::label(bf.engine), "BFV-Guarded"};
       const reach::ReachResult runs[] = {runOnce(row.n, order, tr),
                                          runOnce(row.n, order, bf),
                                          runOnce(row.n, order, gd)};

@@ -45,10 +45,11 @@ void printRow(const char* label, const Row& row) {
 /// reach::runRow() plus the two sizes only this table prints.
 void pushRow(JsonLog& log, JsonLog& trace, const circuit::Netlist& n,
              const std::string& order, const Row& row) {
-  log.push(reach::runRow(n.name(), order, "BFV-Fig2", row.r)
+  const char* engine = reach::label(reach::Engine::kBfv);
+  log.push(reach::runRow(n.name(), order, engine, row.r)
                .add("chi_nodes", row.sizes.chi_nodes)
                .add("bfv_nodes", row.sizes.bfv_nodes));
-  pushTrace(trace, n.name(), order, "BFV-Fig2", row.r);
+  pushTrace(trace, n.name(), order, engine, row.r);
 }
 
 void table(const circuit::Netlist& n, JsonLog& log, JsonLog& trace) {

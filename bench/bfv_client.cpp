@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "run/manifest.hpp"
 #include "svc/client.hpp"
 #include "util/stats.hpp"
 
@@ -72,33 +73,39 @@ struct Args {
 bool parseArgs(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--connect" && i + 1 < argc) {
-      a.connect = argv[++i];
-    } else if (arg == "--tenant" && i + 1 < argc) {
-      a.tenant = argv[++i];
-    } else if (arg == "--window" && i + 1 < argc) {
-      a.window = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (arg == "--deadline" && i + 1 < argc) {
-      a.deadline = std::stod(argv[++i]);
-    } else if (arg == "--retry" && i + 1 < argc) {
-      a.retry = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (arg == "--idem" && i + 1 < argc) {
-      a.idem_prefix = argv[++i];
-    } else if (arg == "--stats") {
-      a.stats = true;
-    } else if (arg == "--shutdown" || arg == "--shutdown=drain") {
-      a.do_shutdown = true;
-    } else if (arg == "--shutdown=now") {
-      a.do_shutdown = true;
-      a.drain = false;
-    } else if (arg == "--quiet") {
-      a.quiet = true;
-    } else if (arg == "--strict") {
-      a.strict = true;
-    } else if (!arg.empty() && arg[0] != '-' && a.manifest.empty()) {
-      a.manifest = arg;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+    // Numbers go through the manifest's strict parsers.
+    try {
+      if (arg == "--connect" && i + 1 < argc) {
+        a.connect = argv[++i];
+      } else if (arg == "--tenant" && i + 1 < argc) {
+        a.tenant = argv[++i];
+      } else if (arg == "--window" && i + 1 < argc) {
+        a.window = run::parseU32(argv[++i]);
+      } else if (arg == "--deadline" && i + 1 < argc) {
+        a.deadline = run::parseF64(argv[++i]);
+      } else if (arg == "--retry" && i + 1 < argc) {
+        a.retry = run::parseU32(argv[++i]);
+      } else if (arg == "--idem" && i + 1 < argc) {
+        a.idem_prefix = argv[++i];
+      } else if (arg == "--stats") {
+        a.stats = true;
+      } else if (arg == "--shutdown" || arg == "--shutdown=drain") {
+        a.do_shutdown = true;
+      } else if (arg == "--shutdown=now") {
+        a.do_shutdown = true;
+        a.drain = false;
+      } else if (arg == "--quiet") {
+        a.quiet = true;
+      } else if (arg == "--strict") {
+        a.strict = true;
+      } else if (!arg.empty() && arg[0] != '-' && a.manifest.empty()) {
+        a.manifest = arg;
+      } else {
+        std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+        return false;
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", arg.c_str(), e.what());
       return false;
     }
   }

@@ -27,7 +27,8 @@
 // T.O. / M.O. / cancelled / inconclusive); 1 when any job errored (bad
 // circuit spec, unreadable file), when --strict and any job ran out of
 // nodes or time, or when the manifest could not be read or the report
-// could not be written.
+// could not be written; 2 on a usage error (a flag's bad value prints
+// "<flag>: <reason>" before the usage line).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -46,7 +47,7 @@ namespace {
 struct Args {
   std::string manifest;
   unsigned workers = 1;
-  std::vector<run::EngineKind> portfolio;  // empty = per-line setting
+  std::vector<reach::Engine> portfolio;  // empty = per-line setting
   double default_deadline = 0.0;
   bool force_trace = false;
   bool quiet = false;
@@ -65,40 +66,38 @@ std::string manifestStem(const std::string& path) {
 bool parseArgs(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--workers" && i + 1 < argc) {
-      a.workers = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      a.workers = static_cast<unsigned>(std::stoul(arg.substr(10)));
-    } else if (arg == "--portfolio" && i + 1 < argc) {
-      std::string list = argv[++i];
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string tok =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!tok.empty()) a.portfolio.push_back(run::parseEngineKind(tok));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+    // Values go through the manifest's own parsers, so a flag takes what
+    // the same manifest key takes; a bad one names the flag.
+    try {
+      if (arg == "--workers" && i + 1 < argc) {
+        a.workers = run::parseU32(argv[++i]);
+      } else if (arg.rfind("--workers=", 0) == 0) {
+        a.workers = run::parseU32(arg.substr(10));
+      } else if (arg == "--portfolio" && i + 1 < argc) {
+        a.portfolio = run::parseEngineList(argv[++i]);
+      } else if (arg == "--deadline" && i + 1 < argc) {
+        a.default_deadline = run::parseF64(argv[++i]);
+      } else if (arg.rfind("--deadline=", 0) == 0) {
+        a.default_deadline = run::parseF64(arg.substr(11));
+      } else if (arg == "--trace") {
+        a.force_trace = true;
+      } else if (arg == "--quiet") {
+        a.quiet = true;
+      } else if (arg == "--strict") {
+        a.strict = true;
+      } else if (arg == "--jobs") {
+        a.jobs_path = "<default>";
+      } else if (arg.rfind("--jobs=", 0) == 0) {
+        a.jobs_path = arg.substr(7);
+      } else if (!arg.empty() && arg[0] != '-' && a.manifest.empty()) {
+        a.manifest = arg;
+      } else {
+        std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+        return false;
       }
-    } else if (arg == "--deadline" && i + 1 < argc) {
-      a.default_deadline = std::stod(argv[++i]);
-    } else if (arg.rfind("--deadline=", 0) == 0) {
-      a.default_deadline = std::stod(arg.substr(11));
-    } else if (arg == "--trace") {
-      a.force_trace = true;
-    } else if (arg == "--quiet") {
-      a.quiet = true;
-    } else if (arg == "--strict") {
-      a.strict = true;
-    } else if (arg == "--jobs") {
-      a.jobs_path = "<default>";
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      a.jobs_path = arg.substr(7);
-    } else if (!arg.empty() && arg[0] != '-' && a.manifest.empty()) {
-      a.manifest = arg;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: %s\n", arg.substr(0, arg.find('=')).c_str(),
+                   e.what());
       return false;
     }
   }
@@ -118,7 +117,7 @@ void printRow(const run::JobRow& row) {
     std::snprintf(states, sizeof states, "-");
   }
   std::printf("%-28s %-8s %-9s %8.3f %6u %12s  w%u%s\n",
-              row.spec.displayName().c_str(), to_string(row.spec.engine),
+              row.spec.displayName().c_str(), reach::tag(row.spec.engine),
               to_string(r.status).c_str(), r.seconds, r.reach.iterations,
               states, r.worker, row.winner ? "  <- winner" : "");
 }
@@ -128,8 +127,8 @@ void printRow(const run::JobRow& row) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--list-engines") == 0) {
-      for (const run::EngineKind k : run::allEngineKinds()) {
-        std::printf("%s\n", to_string(k));
+      for (const reach::EngineInfo& e : reach::kEngines) {
+        std::printf("%s\n", e.tag);
       }
       return 0;
     }
@@ -199,7 +198,7 @@ int main(int argc, char** argv) {
       run::JobSpec variant = race.entry->spec;
       variant.engine = race.entry->portfolio[i];
       variant.name = race.entry->spec.displayName() + "/" +
-                     to_string(variant.engine);
+                     reach::tag(variant.engine);
       rows.push_back({std::move(variant), std::move(race.result.jobs[i]),
                       race.entry->spec.displayName(),
                       race.result.winner == static_cast<int>(i)});

@@ -56,6 +56,7 @@
 #include <thread>
 
 #include "obs/log.hpp"
+#include "run/manifest.hpp"
 #include "svc/server.hpp"
 
 using namespace bfvr;
@@ -84,14 +85,13 @@ Args parseArgs(int argc, char** argv) {
       if (arg == "--listen") {
         a.opts.endpoint = value("--listen");
       } else if (arg == "--workers") {
-        a.opts.workers = static_cast<unsigned>(std::stoul(value("--workers")));
+        a.opts.workers = run::parseU32(value("--workers"));
       } else if (arg == "--tenants") {
         a.opts.tenants = svc::parseTenantsFile(value("--tenants"));
       } else if (arg == "--spool") {
         a.opts.spool_dir = value("--spool");
       } else if (arg == "--checkpoint-every") {
-        a.opts.checkpoint_every =
-            static_cast<unsigned>(std::stoul(value("--checkpoint-every")));
+        a.opts.checkpoint_every = run::parseU32(value("--checkpoint-every"));
       } else if (arg == "--no-warm") {
         a.opts.warm_managers = false;
       } else if (arg == "--no-stream") {
@@ -103,7 +103,7 @@ Args parseArgs(int argc, char** argv) {
       } else if (arg == "--name") {
         a.opts.name = value("--name");
       } else if (arg == "--metrics-every") {
-        a.opts.metrics_every = std::stod(value("--metrics-every"));
+        a.opts.metrics_every = run::parseF64(value("--metrics-every"));
       } else if (arg == "--metrics-dir") {
         a.opts.metrics_dir = value("--metrics-dir");
       } else if (arg == "--flight") {
@@ -117,11 +117,11 @@ Args parseArgs(int argc, char** argv) {
       } else if (arg == "--no-compact") {
         a.opts.journal_compact_on_shutdown = false;
       } else if (arg == "--idle-timeout") {
-        a.opts.idle_timeout = std::stod(value("--idle-timeout"));
+        a.opts.idle_timeout = run::parseF64(value("--idle-timeout"));
       } else if (arg == "--frame-timeout") {
-        a.opts.frame_timeout = std::stod(value("--frame-timeout"));
+        a.opts.frame_timeout = run::parseF64(value("--frame-timeout"));
       } else if (arg == "--send-timeout") {
-        a.opts.send_timeout = std::stod(value("--send-timeout"));
+        a.opts.send_timeout = run::parseF64(value("--send-timeout"));
       } else if (arg == "--log-level") {
         const std::string level = value("--log-level");
         obs::LogLevel parsed;

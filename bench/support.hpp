@@ -43,33 +43,17 @@ inline reach::ReachOptions paperOptions() {
 /// universe so peaks and caches do not leak across rows — the paper runs
 /// each configuration as a separate process).
 struct RunSpec {
-  enum class Engine { kTr, kTrMono, kCbm, kBfv, kCdec };
-  Engine engine = Engine::kBfv;
+  /// A BDD engine; rows are labelled reach::label(engine).
+  reach::Engine engine = reach::Engine::kBfv;
   reach::ReachOptions opts = paperOptions();
   /// Manager configuration of the run's fresh BDD universe — how the
   /// ordering benches turn on Config::auto_reorder per run.
   bdd::Manager::Config mgr;
 };
 
-inline const char* engineName(RunSpec::Engine e) {
-  switch (e) {
-    case RunSpec::Engine::kTr:
-      return "TR-IWLS95";
-    case RunSpec::Engine::kTrMono:
-      return "TR-mono";
-    case RunSpec::Engine::kCbm:
-      return "CBM-Fig1";
-    case RunSpec::Engine::kBfv:
-      return "BFV-Fig2";
-    case RunSpec::Engine::kCdec:
-      return "CDEC-Fig2";
-  }
-  return "?";
-}
-
 inline reach::ReachResult runOnce(const circuit::Netlist& n,
                                   const circuit::OrderSpec& order,
-                                  RunSpec spec) {
+                                  const RunSpec& spec) {
   // The engine-boundary catch: building the StateSpace (netlist -> BDDs)
   // happens before the engine's own guarded loop, so a hard manager node
   // budget tripped there used to escape and abort the whole bench. Fold it
@@ -78,21 +62,7 @@ inline reach::ReachResult runOnce(const circuit::Netlist& n,
   try {
     bdd::Manager m(0, spec.mgr);
     sym::StateSpace s(m, n, circuit::makeOrder(n, order));
-    switch (spec.engine) {
-      case RunSpec::Engine::kTr:
-        return reach::reachTr(s, spec.opts);
-      case RunSpec::Engine::kTrMono:
-        spec.opts.transition.cluster_limit = 0;
-        return reach::reachTr(s, spec.opts);
-      case RunSpec::Engine::kCbm:
-        return reach::reachCbm(s, spec.opts);
-      case RunSpec::Engine::kBfv:
-        spec.opts.backend = reach::SetBackend::kBfv;
-        return reach::reachBfv(s, spec.opts);
-      case RunSpec::Engine::kCdec:
-        spec.opts.backend = reach::SetBackend::kCdec;
-        return reach::reachBfv(s, spec.opts);
-    }
+    return reach::runEngine(s, spec.engine, spec.opts);
   } catch (const bdd::NodeBudgetExceeded&) {
     reach::ReachResult r;
     r.status = RunStatus::kMemOut;
@@ -104,7 +74,6 @@ inline reach::ReachResult runOnce(const circuit::Netlist& n,
                    : RunStatus::kCancelled;
     return r;
   }
-  throw std::logic_error("bad engine");
 }
 
 /// One logical-zonotope engine run (src/lz) — no manager, no order; the
@@ -127,7 +96,7 @@ inline JsonObject lzRunObject(const std::string& circuit,
   JsonObject o;
   o.add("circuit", circuit)
       .add("order", "n/a")
-      .add("engine", "LZ")
+      .add("engine", reach::label(reach::Engine::kLz))
       .add("status", to_string(r.status))
       .add("seconds", r.seconds)
       .add("iterations", r.iterations)

@@ -32,31 +32,26 @@ int main(int argc, char** argv) {
   const auto order = circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0});
   std::printf("%-12s %10s %10s %6s %14s\n", "engine", "time(s)", "Peak(K)",
               "iters", "states");
-  struct Run {
-    const char* name;
-    reach::ReachResult (*fn)(sym::StateSpace&, const reach::ReachOptions&);
-  };
-  const Run runs[] = {{"TR-IWLS95", reach::reachTr},
-                      {"CBM-Fig1", reach::reachCbm},
-                      {"BFV-Fig2", reach::reachBfv}};
-  for (const Run& run : runs) {
+  for (const reach::Engine e :
+       {reach::Engine::kTr, reach::Engine::kCbm, reach::Engine::kBfv}) {
     // StateSpace construction precedes the engine's guarded loop; catch a
     // node-budget blowup there so one engine's M.O. doesn't abort the rest.
     reach::ReachResult r;
     try {
       bdd::Manager m(0);
       sym::StateSpace s(m, n, order);
-      r = run.fn(s, opts);
+      r = reach::runEngine(s, e, opts);
       r.reached_bfv.reset();  // handles die with the per-run manager
       r.reached_chi = bdd::Bdd();
     } catch (const bdd::NodeBudgetExceeded&) {
       r.status = RunStatus::kMemOut;
     }
     if (r.status == RunStatus::kDone) {
-      std::printf("%-12s %10.3f %10.1f %6u %14.6g\n", run.name, r.seconds,
-                  r.peak_live_nodes / 1000.0, r.iterations, r.states);
+      std::printf("%-12s %10.3f %10.1f %6u %14.6g\n", reach::label(e),
+                  r.seconds, r.peak_live_nodes / 1000.0, r.iterations,
+                  r.states);
     } else {
-      std::printf("%-12s %10s %10.1f %6u %14s\n", run.name,
+      std::printf("%-12s %10s %10.1f %6u %14s\n", reach::label(e),
                   to_string(r.status).c_str(), r.peak_live_nodes / 1000.0,
                   r.iterations, "-");
     }

@@ -364,14 +364,10 @@ class Manager {
     /// Automatic dynamic reordering: when true, maybeGc() (the engines'
     /// documented safe point) runs `reorder_method` whenever the in-use
     /// node count crosses a threshold that starts at `reorder_threshold`
-    /// and grows geometrically (by `reorder_growth`) after each run.
+    /// and moves to twice the table size after each run.
     bool auto_reorder = false;
     ReorderMethod reorder_method = ReorderMethod::kSift;
     std::size_t reorder_threshold = 1U << 13;
-    double reorder_growth = 2.0;
-    /// Sifting abandons a direction when the in-use node count exceeds
-    /// this factor of the size at sift start.
-    double reorder_max_growth = 1.2;
     /// Memory-pressure governor: a degradation ladder run when the node
     /// budget trips inside a public operation, instead of letting
     /// NodeBudgetExceeded escape immediately. The failed operation's
@@ -388,7 +384,8 @@ class Manager {
       bool shrink_cache = true;
       /// Cache shrink halves cache_bits per rung but never below this.
       unsigned min_cache_bits = 12;
-      /// Emergency reorder uses Config::reorder_method.
+      /// Emergency reorder uses Config::reorder_method; an OrderHold skips
+      /// the rung.
       bool emergency_reorder = true;
     };
     PressureLadder pressure_ladder;
@@ -461,9 +458,25 @@ class Manager {
   /// Reorder now with the configured (or given) method. Safe at the same
   /// points as gc(): between operations, never during one. Live handles
   /// keep their functions and their raw edge values; only levels (and hence
-  /// topVar() results and node counts) change.
+  /// topVar() results and node counts) change. Does nothing while an
+  /// OrderHold is alive.
   void reorder() { reorder(cfg_.reorder_method); }
   void reorder(ReorderMethod method);
+  /// Holds the variable order for its lifetime: reorder() does nothing, so
+  /// step, automatic (Config::auto_reorder) and emergency (the pressure
+  /// ladder's rung) reorders are all skipped. For algorithms that are only
+  /// sound under a fixed order. swapLevels() and setVarOrder() are explicit
+  /// and still move variables.
+  class OrderHold {
+   public:
+    explicit OrderHold(Manager& m) noexcept : m_(m) { ++m_.order_holds_; }
+    ~OrderHold() { --m_.order_holds_; }
+    OrderHold(const OrderHold&) = delete;
+    OrderHold& operator=(const OrderHold&) = delete;
+
+   private:
+    Manager& m_;
+  };
   /// Swap the variables at `level` and `level + 1` — one reordering step,
   /// exposed for tests and custom reordering loops.
   void swapLevels(unsigned level);
@@ -864,6 +877,7 @@ class Manager {
   std::vector<std::uint32_t> group_of_var_;  // reorder group id or kNil
   std::uint32_t next_group_ = 0;
   bool reordering_ = false;
+  unsigned order_holds_ = 0;               // live OrderHolds
   std::size_t next_reorder_at_ = 0;        // auto-reorder trigger
   std::vector<std::uint32_t> refs_;        // refcounts, valid while reordering_
   std::vector<std::uint32_t> rewrite_list_;

@@ -400,7 +400,9 @@ bool Manager::relieve(unsigned rung) {
   if (pl.shrink_cache && cfg_.cache_bits > pl.min_cache_bits) {
     order[n++] = PressureRung::kCacheShrink;
   }
-  if (pl.emergency_reorder) order[n++] = PressureRung::kReorder;
+  if (pl.emergency_reorder && order_holds_ == 0) {
+    order[n++] = PressureRung::kReorder;
+  }
   if (rung >= n) return false;  // ladder exhausted: let the exception escape
   const PressureRung step = order[rung];
   const std::size_t before = in_use_;
@@ -595,7 +597,8 @@ void Manager::maybeGc() {
   // iterations are too small to hit the allocation-stride poll.
   pollInterrupt();
   auto_event_ = true;
-  if (cfg_.auto_reorder && !reordering_ && in_use_ >= next_reorder_at_) {
+  if (cfg_.auto_reorder && !reordering_ && order_holds_ == 0 &&
+      in_use_ >= next_reorder_at_) {
     reorder(cfg_.reorder_method);
     auto_event_ = false;
     return;

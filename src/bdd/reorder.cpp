@@ -26,6 +26,13 @@
 
 namespace bfvr::bdd {
 
+/// The next automatic reorder triggers at this multiple of the table size
+/// a run leaves behind.
+constexpr double kReorderGrowth = 2.0;
+/// Sifting abandons a direction once the table exceeds this multiple of its
+/// size at the start of the sift.
+constexpr double kSiftMaxGrowth = 1.2;
+
 const char* to_string(ReorderMethod m) noexcept {
   switch (m) {
     case ReorderMethod::kSift:
@@ -275,7 +282,7 @@ void Manager::siftBlock(std::uint32_t top_var) {
   }
   const std::size_t limit =
       static_cast<std::size_t>(static_cast<double>(in_use_) *
-                               cfg_.reorder_max_growth) +
+                               kSiftMaxGrowth) +
       16;
   std::size_t best = in_use_;
   int best_pos = bi;
@@ -399,7 +406,7 @@ void Manager::windowPass(unsigned window) {
 // ---------------------------------------------------------------------------
 
 void Manager::reorder(ReorderMethod method) {
-  if (reordering_ || num_vars_ < 2) return;
+  if (reordering_ || order_holds_ != 0 || num_vars_ < 2) return;
   // The prologue GC emits its own kGc event; the kReorder event measures
   // the reordering proper (post-GC size to post-reorder size).
   reorderPrologue();
@@ -442,7 +449,7 @@ void Manager::reorder(ReorderMethod method) {
   std::size_t next = std::max<std::size_t>(
       cfg_.reorder_threshold,
       static_cast<std::size_t>(static_cast<double>(in_use_) *
-                               cfg_.reorder_growth));
+                               kReorderGrowth));
   if (in_use_ * 10 > before * 9) next = std::max(next, before * 2);
   next_reorder_at_ = next;
   emitEvent(ManagerEvent::Kind::kReorder, before, in_use_, timer.seconds());

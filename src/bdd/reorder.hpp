@@ -14,7 +14,7 @@
 //  * kSift          — Rudell sifting: move each variable (or bound group)
 //                     through every level, keep the best position; a
 //                     direction is abandoned when the table grows past
-//                     Config::reorder_max_growth of the start size.
+//                     1.2 times the start size.
 //  * kSiftConverge  — repeat sifting passes until a pass stops shrinking
 //                     the table.
 //  * kWindow2/3     — exhaustive permutation of every 2/3 adjacent blocks,
@@ -27,7 +27,8 @@
 //
 // Automatic reordering (Config::auto_reorder) triggers from maybeGc() — the
 // engines' documented safe point — whenever the allocated-node count
-// crosses a geometrically growing threshold.
+// crosses a geometrically growing threshold. A Manager::OrderHold skips
+// every reorder() while it lives.
 #pragma once
 
 namespace bfvr::bdd {

@@ -8,9 +8,12 @@ namespace bfvr::cdec {
 
 namespace {
 
-void requireIncreasing(const std::vector<unsigned>& vars) {
+/// `constrain` follows levels, so the components must sit at increasing
+/// levels, not merely increasing variable indices: a reorder that moves
+/// them fails here rather than giving a wrong set.
+void requireIncreasing(const Manager& m, const std::vector<unsigned>& vars) {
   for (std::size_t i = 1; i < vars.size(); ++i) {
-    if (vars[i - 1] >= vars[i]) {
+    if (m.levelOfVar(vars[i - 1]) >= m.levelOfVar(vars[i])) {
       throw std::invalid_argument(
           "conjunctive decomposition requires component order == BDD order");
     }
@@ -45,18 +48,18 @@ std::vector<bdd::Bdd> unionCoreCdec(Manager& m,
 }  // namespace
 
 Cdec Cdec::emptySet(Manager& m, std::vector<unsigned> vars) {
-  requireIncreasing(vars);
+  requireIncreasing(m, vars);
   return Cdec(&m, std::move(vars), {}, /*empty=*/true);
 }
 
 Cdec Cdec::universe(Manager& m, std::vector<unsigned> vars) {
-  requireIncreasing(vars);
+  requireIncreasing(m, vars);
   std::vector<Bdd> comps(vars.size(), m.one());
   return Cdec(&m, std::move(vars), std::move(comps), false);
 }
 
 Cdec Cdec::fromChar(Manager& m, const Bdd& chi, std::vector<unsigned> vars) {
-  requireIncreasing(vars);
+  requireIncreasing(m, vars);
   if (chi.isFalse()) return emptySet(m, std::move(vars));
   const std::size_t n = vars.size();
   // Suffix projections P_i = exists v_{i+1..n} chi, then the canonical
@@ -91,7 +94,7 @@ Cdec Cdec::fromBfv(const Bfv& f) {
 
 Cdec Cdec::fromConstraints(Manager& m, std::vector<unsigned> vars,
                            std::vector<Bdd> comps) {
-  requireIncreasing(vars);
+  requireIncreasing(m, vars);
   if (comps.size() != vars.size()) {
     throw std::invalid_argument("fromConstraints: arity mismatch");
   }
@@ -166,7 +169,7 @@ Cdec reparameterizeCdec(Manager& m, std::span<const Bdd> outputs,
                         std::vector<unsigned> choice_vars,
                         std::span<const unsigned> param_vars,
                         const bfv::ReparamOptions& opts) {
-  requireIncreasing(choice_vars);
+  requireIncreasing(m, choice_vars);
   if (outputs.size() != choice_vars.size()) {
     throw std::invalid_argument("reparameterizeCdec: arity mismatch");
   }

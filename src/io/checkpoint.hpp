@@ -65,7 +65,7 @@ enum class RootKind : std::uint8_t {
 /// load() (which also receives the recorded variable order first, so the
 /// decoded DAG is canonical and node-for-node the shape that was saved).
 struct Checkpoint {
-  std::string engine;  ///< dispatch tag: "tr" | "cbm" | "hybrid" | "bfv" | "cdec"
+  std::string engine;  ///< its writer's engine tag (reach::kEngines)
   RootKind kind = RootKind::kChi;
   std::uint32_t iteration = 0;       ///< completed frontier iterations
   std::vector<unsigned> level2var;   ///< variable order: level -> var index

@@ -14,6 +14,13 @@ namespace bfvr::lz {
 
 namespace {
 
+/// Explicit points tracked before they too fold into the hull.
+constexpr std::size_t kMaxPoints = std::size_t{1} << 20;
+/// Exact-count budget: when points + sum 2^rank at the end of the run is at
+/// most this, the members are enumerated (deduplicated) for an exact state
+/// count; above it the count degrades to an upper bound.
+constexpr std::size_t kEnumCap = std::size_t{1} << 22;
+
 // ---- affine forms ----------------------------------------------------------
 // A form is a packed row over [bit 0 = constant | bit 1+k = coefficient of
 // parameter k]. Rows have ragged widths (parameters are minted on demand);
@@ -363,12 +370,12 @@ LzResult lzReach(const circuit::Netlist& n, const LzOptions& opts) {
     // mutually non-contained), so at most `dims` inexact folds can ever
     // happen: the termination guarantee on lossy circuits.
     if (res.reached.zonos.size() > opts.merge_threshold ||
-        res.reached.pointCount() > opts.max_points) {
+        res.reached.pointCount() > kMaxPoints) {
       bool fold_exact = true;
       std::vector<GeneratorSet> members = std::move(res.reached.zonos);
       res.reached.zonos.clear();
       const bool fold_points =
-          res.reached.pointCount() > opts.max_points || members.empty();
+          res.reached.pointCount() > kMaxPoints || members.empty();
       GeneratorSet hull =
           members.empty() ? GeneratorSet(dims, init) : std::move(members[0]);
       for (std::size_t i = 1; i < members.size(); ++i) {
@@ -444,7 +451,7 @@ LzResult lzReach(const circuit::Netlist& n, const LzOptions& opts) {
     res.states = z.count() + extra;
     count_exact = true;
   } else if (res.reached.upperBound() <=
-             static_cast<double>(opts.enum_cap)) {
+             static_cast<double>(kEnumCap)) {
     if (dims <= 64) {
       std::unordered_set<std::uint64_t> all = res.reached.points;
       for (const GeneratorSet& z : res.reached.zonos) {

@@ -85,12 +85,6 @@ struct LzOptions {
   /// Zonotope members tracked before folding them into their affine hull
   /// (rank-monotone, so folding guarantees termination on lossy circuits).
   std::size_t merge_threshold = 64;
-  /// Explicit points tracked before folding them into the hull as well.
-  std::size_t max_points = std::size_t{1} << 20;
-  /// Exact-count budget: when points + sum 2^rank at the end of the run is
-  /// at most this, the members are enumerated (deduplicated) for an exact
-  /// state count; above it the count degrades to an upper bound.
-  std::size_t enum_cap = std::size_t{1} << 22;
   /// Cooperative cancellation, polled between frontier members. Returns
   /// true to stop the run with RunStatus::kCancelled.
   std::function<bool()> cancelled;

@@ -1,9 +1,9 @@
 // The paper's reachability flow (Fig. 2): symbolic simulation for images,
 // re-parameterization and set union directly on the canonical functional
 // vector. No characteristic function is built, not even for the state
-// count (Bfv::countStates counts on the components). The kCdec backend
+// count (Bfv::countStates counts on the components). The CDEC engine
 // performs the same steps on the conjunctive decomposition (§2.7), using the
-// constrain-based union.
+// constrain-based union, under a held variable order.
 #include "reach/internal.hpp"
 
 namespace bfvr::reach {
@@ -37,10 +37,10 @@ std::vector<unsigned> simulationParams(const sym::StateSpace& s) {
 /// engine's tag, another bank of choice variables, or a root count that
 /// does not match them. What passes can be wrapped without further checks.
 void checkVectorCheckpoint(const sym::StateSpace& s, const io::Checkpoint& c,
-                           const char* engine, io::RootKind kind) {
-  if (c.engine != engine || c.kind != kind) {
+                           Engine engine, io::RootKind kind) {
+  if (c.engine != tag(engine) || c.kind != kind) {
     throw io::Error("checkpoint: written by engine '" + c.engine +
-                    "', not '" + engine + "'");
+                    "', not '" + tag(engine) + "'");
   }
   if (c.choice_vars != s.currentVars()) {
     throw io::Error(
@@ -71,12 +71,17 @@ class CdecOps {
 
   static std::pair<Cdec, Cdec> decode(sym::StateSpace& s,
                                       const io::Checkpoint& c) {
-    checkVectorCheckpoint(s, c, "cdec", io::RootKind::kCdec);
+    checkVectorCheckpoint(s, c, Engine::kCdec, io::RootKind::kCdec);
     auto set = [&](const std::vector<Bdd>& roots, bool empty) {
       return empty ? Cdec::emptySet(s.manager(), c.choice_vars)
                    : Cdec::fromConstraints(s.manager(), c.choice_vars, roots);
     };
-    return {set(c.reached, c.reached_empty), set(c.frontier, c.frontier_empty)};
+    try {
+      return {set(c.reached, c.reached_empty),
+              set(c.frontier, c.frontier_empty)};
+    } catch (const std::invalid_argument& e) {  // an order CDEC cannot use
+      throw io::Error(std::string("checkpoint: ") + e.what());
+    }
   }
 
   Cdec initial() const {
@@ -118,7 +123,7 @@ class CdecOps {
 
   io::Checkpoint encode(const Cdec& reached, const Cdec& from) const {
     io::Checkpoint c;
-    c.engine = "cdec";
+    c.engine = tag(Engine::kCdec);
     c.kind = io::RootKind::kCdec;
     c.choice_vars = s_.currentVars();
     c.reached = reached.constraints();
@@ -176,7 +181,7 @@ BfvOps::BfvOps(sym::StateSpace& s, const ReachOptions& opts, RunGuard&)
 
 std::pair<Bfv, Bfv> BfvOps::decode(sym::StateSpace& s,
                                    const io::Checkpoint& c) {
-  checkVectorCheckpoint(s, c, "bfv", io::RootKind::kBfv);
+  checkVectorCheckpoint(s, c, Engine::kBfv, io::RootKind::kBfv);
   auto set = [&](const std::vector<Bdd>& roots, bool empty) {
     return empty ? Bfv::emptySet(s.manager(), c.choice_vars)
                  : Bfv::fromComponents(s.manager(), c.choice_vars, roots,
@@ -254,7 +259,7 @@ News<Bfv> BfvOps::newStates(const Bfv& img, const Bfv& reached,
 
 io::Checkpoint BfvOps::encode(const Bfv& reached, const Bfv& from) const {
   io::Checkpoint c;
-  c.engine = "bfv";
+  c.engine = tag(Engine::kBfv);
   c.kind = io::RootKind::kBfv;
   c.choice_vars = s_.currentVars();
   c.reached = reached.comps();
@@ -267,9 +272,13 @@ io::Checkpoint BfvOps::encode(const Bfv& reached, const Bfv& from) const {
 }  // namespace internal
 
 ReachResult reachBfv(sym::StateSpace& s, const ReachOptions& opts) {
-  return opts.backend == SetBackend::kBfv
-             ? internal::fixpoint<internal::BfvOps>(s, opts)
-             : internal::fixpoint<CdecOps>(s, opts);
+  return internal::fixpoint<internal::BfvOps>(s, opts);
+}
+
+ReachResult reachCdec(sym::StateSpace& s, const ReachOptions& opts) {
+  // The constrain-based union needs component order == BDD order.
+  const Manager::OrderHold hold(s.manager());
+  return internal::fixpoint<CdecOps>(s, opts);
 }
 
 }  // namespace bfvr::reach

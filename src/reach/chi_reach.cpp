@@ -31,7 +31,7 @@ using internal::RunGuard;
 using internal::Tracer;
 
 struct TrImage {
-  static constexpr const char* kEngine = "tr";
+  static constexpr Engine kEngine = Engine::kTr;
   struct Step {
     Bdd img;
   };
@@ -51,7 +51,7 @@ struct TrImage {
 };
 
 struct CbmImage {
-  static constexpr const char* kEngine = "cbm";
+  static constexpr Engine kEngine = Engine::kCbm;
   struct Step {
     Bfv f;
     sym::SimResult sim;
@@ -89,7 +89,7 @@ struct CbmImage {
 };
 
 struct HybridImage {
-  static constexpr const char* kEngine = "hybrid";
+  static constexpr Engine kEngine = Engine::kHybrid;
   struct Step {
     std::vector<Bdd> constrained;
     Bdd img;
@@ -143,9 +143,9 @@ class ChiOps {
 
   static std::pair<Bdd, Bdd> decode(sym::StateSpace&,
                                     const io::Checkpoint& c) {
-    if (c.engine != Image::kEngine || c.kind != io::RootKind::kChi) {
+    if (c.engine != tag(Image::kEngine) || c.kind != io::RootKind::kChi) {
       throw io::Error("checkpoint: written by engine '" + c.engine +
-                      "', not '" + Image::kEngine + "'");
+                      "', not '" + tag(Image::kEngine) + "'");
     }
     if (c.reached.size() != 1 || c.frontier.size() != 1) {
       throw io::Error("checkpoint: expected one root per set");
@@ -172,7 +172,7 @@ class ChiOps {
 
   io::Checkpoint encode(const Bdd& reached, const Bdd& from) const {
     io::Checkpoint c;
-    c.engine = Image::kEngine;
+    c.engine = tag(Image::kEngine);
     c.reached = {reached};
     c.frontier = {from};
     return c;

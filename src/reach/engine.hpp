@@ -1,18 +1,19 @@
-// Common interface of the four reachability engines:
+// The reachability engines and the one table that names them:
 //
-//  * TrReach  — characteristic-function flow with (partitioned) transition
-//               relations and IWLS95-style early quantification: the VIS
-//               baseline of Table 2.
-//  * CbmReach — the Coudert/Berthet/Madre flow of Fig. 1: symbolic
-//               simulation for images, but every set operation on the
-//               characteristic function, paying the BFV<->chi conversions.
-//  * Hybrid   — "to split or to conjoin": chi sets, each image by the
-//               relation or by range splitting, whichever looks smaller.
-//  * BfvReach — the paper's flow of Fig. 2: symbolic simulation,
-//               re-parameterization and set union directly on Boolean
-//               functional vectors (or their conjunctive decomposition).
+//  * TR     — chi sets, images by (partitioned) transition relations with
+//             IWLS95-style early quantification: Table 2's VIS baseline.
+//             TR-mono uses one monolithic relation.
+//  * CBM    — the Coudert/Berthet/Madre flow of Fig. 1: images by symbolic
+//             simulation, set operations on chi, paying the conversions.
+//  * BFV    — the paper's Fig. 2 flow: simulation, re-parameterization and
+//             union directly on Boolean functional vectors.
+//  * CDEC   — the Fig. 2 flow on the conjunctive decomposition (§2.7).
+//  * Hybrid — "to split or to conjoin": chi sets, each image by the
+//             relation or by range splitting, whichever looks smaller.
+//  * LZ     — logical zonotopes (src/lz): no BDD manager, so src/run runs
+//             it, not runEngine().
 //
-// All engines run one fixpoint loop (internal.hpp) under a time/node
+// The BDD engines run one fixpoint loop (internal.hpp) under a time/node
 // budget and report the paper's metrics: wall-clock seconds and peak live
 // BDD nodes, plus iteration counts, the state count and the reached set in
 // the engine's own representation. reachedSizes() converts it to the other
@@ -24,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "bfv/bfv.hpp"
 #include "cdec/cdec.hpp"
@@ -42,22 +44,39 @@ using bdd::Bdd;
 using bdd::Manager;
 using bfv::Bfv;
 
-/// Which set-algebra backend the Fig. 2 engine uses (§2.7: with matching
-/// component/BDD orders the conjunctive decomposition needs fewer BDD
-/// operations).
-enum class SetBackend : std::uint8_t { kBfv, kCdec };
-
-/// Dynamic-reordering policy for a reachability run. Works alongside the
-/// manager's own Config::auto_reorder trigger: `every = k` additionally
-/// sifts after every k-th frontier iteration (0 = never).
-struct ReorderPolicy {
-  unsigned every = 0;
-  bdd::ReorderMethod method = bdd::ReorderMethod::kSift;
-  /// Bind each latch's interleaved (current, param) index pair as a reorder
-  /// group, so any reordering — stepwise or automatic — keeps the banks
-  /// interleaved and the u -> v renaming order-preserving.
-  bool group_state_pairs = true;
+/// The seven engines, in kEngines order.
+enum class Engine : std::uint8_t {
+  kTr, kTrMono, kCbm, kBfv, kCdec, kHybrid, kLz
 };
+
+struct EngineInfo {
+  Engine engine;
+  /// Manifest `engine=`, the JOBS `engine` field, `bfv_run --list-engines`
+  /// and the checkpoint tag (a tr-mono run writes TR's).
+  const char* tag;
+  /// The paper's name of the flow: the BENCH/TRACE `engine` field.
+  const char* label;
+};
+
+/// The engine table, one row per Engine in enum order.
+inline constexpr EngineInfo kEngines[] = {
+    {Engine::kTr, "tr", "TR-IWLS95"},
+    {Engine::kTrMono, "tr-mono", "TR-mono"},
+    {Engine::kCbm, "cbm", "CBM-Fig1"},
+    {Engine::kBfv, "bfv", "BFV-Fig2"},
+    {Engine::kCdec, "cdec", "CDEC-Fig2"},
+    {Engine::kHybrid, "hybrid", "Hybrid"},
+    {Engine::kLz, "lz", "LZ"},
+};
+
+constexpr const char* tag(Engine e) {
+  return kEngines[static_cast<std::size_t>(e)].tag;
+}
+constexpr const char* label(Engine e) {
+  return kEngines[static_cast<std::size_t>(e)].label;
+}
+/// The engine whose tag is `tag`, if any.
+std::optional<Engine> engineFromTag(std::string_view tag);
 
 /// Which set each iteration simulates from: the Fig. 1/2 "Selection
 /// Heuristic" box. Any set between the new states and the reached set gives
@@ -89,14 +108,14 @@ struct ReachOptions {
   FrontierPolicy frontier = FrontierPolicy::kGuarded;
   /// Re-parameterization quantification schedule (BFV/CDEC engines).
   bfv::ReparamOptions reparam;
-  /// Set algebra of the Fig. 2 engine.
-  SetBackend backend = SetBackend::kBfv;
   /// Transition-relation clustering (TR engine).
   sym::TransitionOptions transition;
   /// Cap on iterations (0 = until fixpoint); a safety net for tests.
   unsigned max_iterations = 0;
-  /// Dynamic variable reordering between frontier steps.
-  ReorderPolicy reorder;
+  /// Sift after every k-th frontier iteration (0 = never), on top of the
+  /// manager's own Config::auto_reorder trigger. A CDEC run holds the
+  /// order and skips both.
+  unsigned reorder_every = 0;
   /// Record a per-iteration obs::RunTrace (frontier size, phase split, node
   /// census, op deltas, manager events) into ReachResult::trace. Off by
   /// default: tracing adds a live-node census and a state count per
@@ -144,8 +163,8 @@ struct ReachResult {
   std::optional<obs::RunTrace> trace;
 
   /// Reached set in the engine's own representation, set when the loop
-  /// ends without a budget or interrupt: the Fig. 2 engine (either backend)
-  /// sets reached_bfv, the chi engines (TR, CBM, hybrid) set reached_chi.
+  /// ends without a budget or interrupt: the Fig. 2 engines (BFV, CDEC) set
+  /// reached_bfv, the chi engines (TR, CBM, hybrid) set reached_chi.
   /// No engine converts it; reachedSizes() does.
   std::optional<Bfv> reached_bfv;
   Bdd reached_chi;
@@ -170,8 +189,13 @@ ReachResult reachTr(sym::StateSpace& s, const ReachOptions& opts = {});
 /// Coudert/Berthet/Madre Fig. 1 engine.
 ReachResult reachCbm(sym::StateSpace& s, const ReachOptions& opts = {});
 
-/// The paper's Fig. 2 engine (BFV or conjunctive-decomposition backend).
+/// The paper's Fig. 2 engine, on Boolean functional vectors (reachBfv) or on
+/// the conjunctive decomposition (reachCdec, §2.7). CDEC's constrain-based
+/// union needs component order == BDD order, so its run holds the manager's
+/// order (Manager::OrderHold): step, automatic and emergency reorders are
+/// all skipped.
 ReachResult reachBfv(sym::StateSpace& s, const ReachOptions& opts = {});
+ReachResult reachCdec(sym::StateSpace& s, const ReachOptions& opts = {});
 
 /// "To split or to conjoin" (Moon/Kukula/Ravi/Somenzi, cited as the hybrid
 /// approach in §1): a characteristic-function engine that picks, per
@@ -179,6 +203,11 @@ ReachResult reachBfv(sym::StateSpace& s, const ReachOptions& opts = {});
 /// recursive-splitting transition-function image (split), based on the
 /// size of the from-set relative to the relation.
 ReachResult reachHybrid(sym::StateSpace& s, const ReachOptions& opts = {});
+
+/// Run BDD engine `e` (anything but Engine::kLz, which throws
+/// std::logic_error): the one dispatch from the engine table to the
+/// entry points above.
+ReachResult runEngine(sym::StateSpace& s, Engine e, ReachOptions opts = {});
 
 /// Restart a checkpointed run: load `checkpoint_path` into the state
 /// space's manager (restoring the recorded variable order) and continue the
@@ -189,7 +218,7 @@ ReachResult reachHybrid(sym::StateSpace& s, const ReachOptions& opts = {});
 /// iterations/status are bit-identical to the uninterrupted run's: the
 /// reached-set sequence depends only on the (reached, frontier) pair the
 /// file captures exactly. Throws io::Error on a missing/corrupt/mismatched
-/// file.
+/// file, and on a tag that names no engine that writes checkpoints.
 ReachResult resumeReach(sym::StateSpace& s, const std::string& checkpoint_path,
                         const ReachOptions& opts = {});
 

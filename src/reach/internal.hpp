@@ -140,11 +140,11 @@ class Tracer {
   obs::PhaseSeconds iter_phases_;
 };
 
-/// Apply the run's reorder policy before the iteration loop: bind each
-/// latch's (v, u) pair into a reorder group. Pairs that are not at adjacent
-/// levels (the manager was reordered before this run) are left unbound.
-inline void applyReorderPolicy(sym::StateSpace& s, const ReachOptions& opts) {
-  if (!opts.reorder.group_state_pairs) return;
+/// Bind each latch's (v, u) pair into a reorder group, so any reordering
+/// keeps the banks interleaved and the u -> v renaming order-preserving.
+/// Pairs not at adjacent levels (the manager was reordered before this run)
+/// stay unbound.
+inline void bindStatePairs(sym::StateSpace& s) {
   Manager& m = s.manager();
   for (unsigned i = 0; i < s.numLatches(); ++i) {
     const unsigned pair[2] = {s.currentVar(i), s.paramVar(i)};
@@ -155,11 +155,11 @@ inline void applyReorderPolicy(sym::StateSpace& s, const ReachOptions& opts) {
 }
 
 /// Per-iteration reorder hook (called from the loop's safe point, next to
-/// maybeGc()).
+/// maybeGc()): sift every ReachOptions::reorder_every iterations.
 inline void maybeStepReorder(Manager& m, const ReachOptions& opts,
                              unsigned iteration) {
-  if (opts.reorder.every != 0 && iteration % opts.reorder.every == 0) {
-    m.reorder(opts.reorder.method);
+  if (opts.reorder_every != 0 && iteration % opts.reorder_every == 0) {
+    m.reorder(bdd::ReorderMethod::kSift);
   }
 }
 
@@ -221,7 +221,7 @@ struct News {
 /// cap); `Ops` supplies the rest:
 ///
 ///   Set                          the state-set type
-///   Ops(s, opts, guard)          setup, after applyReorderPolicy()
+///   Ops(s, opts, guard)          setup, after bindStatePairs()
 ///   Ops::decode(s, checkpoint)   {reached, from} to resume from; io::Error
 ///                                if another engine wrote the checkpoint or
 ///                                it does not fit `s`
@@ -264,7 +264,7 @@ ReachResult fixpoint(sym::StateSpace& s, const ReachOptions& opts) {
   Manager& m = s.manager();
   return runGuarded(m, opts, [&](ReachResult& r, RunGuard& guard,
                                  Tracer& tracer) {
-    applyReorderPolicy(s, opts);
+    bindStatePairs(s);
     Ops ops(s, opts, guard);
     Set reached, from;
     obs::FromSet from_kind = obs::FromSet::kReached;

@@ -13,61 +13,16 @@
 #include "io/checkpoint.hpp"
 #include "lz/lz_reach.hpp"
 #include "obs/metrics.hpp"
+#include "run/manifest.hpp"
 #include "run/run.hpp"
 #include "sym/space.hpp"
 #include "util/stats.hpp"
 
 namespace bfvr::run {
 
-const char* to_string(EngineKind e) noexcept {
-  switch (e) {
-    case EngineKind::kTr:
-      return "tr";
-    case EngineKind::kTrMono:
-      return "tr-mono";
-    case EngineKind::kCbm:
-      return "cbm";
-    case EngineKind::kBfv:
-      return "bfv";
-    case EngineKind::kCdec:
-      return "cdec";
-    case EngineKind::kHybrid:
-      return "hybrid";
-    case EngineKind::kLz:
-      return "lz";
-  }
-  return "?";
-}
-
-std::span<const EngineKind> allEngineKinds() noexcept {
-  static const EngineKind kAll[] = {
-      EngineKind::kTr,   EngineKind::kTrMono, EngineKind::kCbm,
-      EngineKind::kBfv,  EngineKind::kCdec,   EngineKind::kHybrid,
-      EngineKind::kLz,
-  };
-  return kAll;
-}
-
-EngineKind parseEngineKind(const std::string& s) {
-  if (s == "tr") return EngineKind::kTr;
-  if (s == "tr-mono" || s == "trmono") return EngineKind::kTrMono;
-  if (s == "cbm") return EngineKind::kCbm;
-  if (s == "bfv") return EngineKind::kBfv;
-  if (s == "cdec") return EngineKind::kCdec;
-  if (s == "hybrid") return EngineKind::kHybrid;
-  if (s == "lz") return EngineKind::kLz;
-  std::string known;
-  for (EngineKind e : allEngineKinds()) {
-    if (!known.empty()) known += ", ";
-    known += to_string(e);
-  }
-  throw std::invalid_argument("unknown engine '" + s + "' (known: " + known +
-                              ")");
-}
-
 std::string JobSpec::displayName() const {
   if (!name.empty()) return name;
-  return circuit + "/" + to_string(engine);
+  return circuit + "/" + reach::tag(engine);
 }
 
 namespace {
@@ -87,33 +42,7 @@ unsigned argAt(const std::vector<std::string>& parts, std::size_t i,
     throw std::invalid_argument("generator spec needs more arguments: " +
                                 spec);
   }
-  return static_cast<unsigned>(std::stoul(parts[i]));
-}
-
-reach::ReachResult dispatchEngine(EngineKind e, sym::StateSpace& s,
-                                  reach::ReachOptions opts) {
-  switch (e) {
-    case EngineKind::kTr:
-      return reach::reachTr(s, opts);
-    case EngineKind::kTrMono:
-      opts.transition.cluster_limit = 0;
-      return reach::reachTr(s, opts);
-    case EngineKind::kCbm:
-      return reach::reachCbm(s, opts);
-    case EngineKind::kBfv:
-      opts.backend = reach::SetBackend::kBfv;
-      return reach::reachBfv(s, opts);
-    case EngineKind::kCdec:
-      opts.backend = reach::SetBackend::kCdec;
-      return reach::reachBfv(s, opts);
-    case EngineKind::kHybrid:
-      return reach::reachHybrid(s, opts);
-    case EngineKind::kLz:
-      // Handled before a StateSpace (or a manager) ever exists; reaching
-      // the BDD dispatcher with kLz is a programming error.
-      throw std::logic_error("lz engine dispatched to the BDD path");
-  }
-  throw std::logic_error("bad engine kind");
+  return parseU32(parts[i]);
 }
 
 /// The kLz attempt body: no manager, no state space — the netlist goes
@@ -256,7 +185,7 @@ JobResult executeAttempt(const JobSpec& spec, const CancelToken* cancel,
               : spec.deadline_seconds;
     }
     const circuit::Netlist n = resolveCircuit(spec.circuit);
-    if (spec.engine == EngineKind::kLz) {
+    if (spec.engine == reach::Engine::kLz) {
       // The zonotope backend: no manager, no state space, no warm-cache
       // traffic — the attempt runs entirely on generator matrices. The
       // deadline was folded into opts.budget above; cancellation is polled
@@ -306,14 +235,14 @@ JobResult executeAttempt(const JobSpec& spec, const CancelToken* cancel,
                         : io::load(opts.checkpoint_path, m);
           reach::ReachOptions seeded = opts;
           seeded.resume = &c;
-          out.reach = dispatchEngine(spec.engine, s, seeded);
+          out.reach = reach::runEngine(s, spec.engine, seeded);
           rec.resumed = true;
         } catch (const io::Error&) {
           // Unusable checkpoint: the fresh run below, under the job's order.
           if (m.currentOrder() != order) m.setVarOrder(order);
         }
       }
-      if (!rec.resumed) out.reach = dispatchEngine(spec.engine, s, opts);
+      if (!rec.resumed) out.reach = reach::runEngine(s, spec.engine, opts);
     }
     out.status = out.reach.status;
     out.message = out.reach.message;
@@ -388,9 +317,7 @@ JobResult executeJob(const JobSpec& spec, const CancelToken* cancel,
     AttemptRecord rec;
     rec.escalation = escalation;
     std::vector<AttemptRecord> history = std::move(out.attempts);
-    out = executeAttempt(cur, cancel,
-                         attempt > 1 && cur.retry.resume_from_checkpoint, warm,
-                         rec);
+    out = executeAttempt(cur, cancel, /*try_resume=*/attempt > 1, warm, rec);
     out.attempts = std::move(history);
     out.attempts.push_back(std::move(rec));
     // Only an out-of-nodes attempt is worth escalating: a timeout would

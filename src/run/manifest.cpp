@@ -1,5 +1,6 @@
 #include "run/manifest.hpp"
 
+#include <cctype>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -7,20 +8,18 @@
 
 namespace bfvr::run {
 
-namespace {
-
-/// Strict numeric parses: the std::sto* family throws bare "stoul"-style
-/// messages and accepts trailing junk ("3x" parses as 3); manifest errors
-/// must instead name exactly what was wrong with the value.
 std::uint64_t parseU64(const std::string& s) {
+  // Digits first: std::stoull would skip blanks and take a sign (wrapping a
+  // negative); and the whole token, not a prefix of "3x".
   std::size_t pos = 0;
   std::uint64_t v = 0;
   try {
-    v = std::stoull(s, &pos);
+    if (!s.empty() && std::isdigit(static_cast<unsigned char>(s[0]))) {
+      v = std::stoull(s, &pos);
+    }
   } catch (const std::exception&) {
-    throw std::invalid_argument("expected a number, got '" + s + "'");
   }
-  if (pos != s.size() || s[0] == '-') {
+  if (pos == 0 || pos != s.size()) {
     throw std::invalid_argument("expected a number, got '" + s + "'");
   }
   return v;
@@ -32,9 +31,8 @@ double parseF64(const std::string& s) {
   try {
     v = std::stod(s, &pos);
   } catch (const std::exception&) {
-    throw std::invalid_argument("expected a number, got '" + s + "'");
   }
-  if (pos != s.size()) {
+  if (pos == 0 || pos != s.size()) {
     throw std::invalid_argument("expected a number, got '" + s + "'");
   }
   return v;
@@ -48,6 +46,32 @@ unsigned parseU32(const std::string& s) {
   return static_cast<unsigned>(v);
 }
 
+reach::Engine parseEngine(const std::string& s) {
+  if (const std::optional<reach::Engine> e = reach::engineFromTag(s)) {
+    return *e;
+  }
+  std::string known;
+  for (const reach::EngineInfo& e : reach::kEngines) {
+    if (!known.empty()) known += ", ";
+    known += e.tag;
+  }
+  throw std::invalid_argument("unknown engine '" + s + "' (known: " + known +
+                              ")");
+}
+
+std::vector<reach::Engine> parseEngineList(const std::string& s) {
+  std::vector<reach::Engine> out;
+  std::string cur;
+  std::istringstream in(s);
+  while (std::getline(in, cur, ',')) {
+    if (!cur.empty()) out.push_back(parseEngine(cur));
+  }
+  if (out.empty()) throw std::invalid_argument("empty engine list");
+  return out;
+}
+
+namespace {
+
 circuit::OrderSpec parseOrder(const std::string& s) {
   if (s == "natural") return {circuit::OrderKind::kNatural, 0};
   if (s == "topo") return {circuit::OrderKind::kTopo, 0};
@@ -57,17 +81,6 @@ circuit::OrderSpec parseOrder(const std::string& s) {
     return {circuit::OrderKind::kRandom, parseU64(s.substr(7))};
   }
   throw std::invalid_argument("unknown order: " + s);
-}
-
-std::vector<EngineKind> parseEngineList(const std::string& s) {
-  std::vector<EngineKind> out;
-  std::string cur;
-  std::istringstream in(s);
-  while (std::getline(in, cur, ',')) {
-    if (!cur.empty()) out.push_back(parseEngineKind(cur));
-  }
-  if (out.empty()) throw std::invalid_argument("empty engine list");
-  return out;
 }
 
 bool parseBool(const std::string& s) {
@@ -100,7 +113,7 @@ void applyKey(ManifestEntry& e, const std::string& key,
     } else if (key == "name") {
       j.name = value;
     } else if (key == "engine") {
-      j.engine = parseEngineKind(value);
+      j.engine = parseEngine(value);
     } else if (key == "order") {
       j.order = parseOrder(value);
     } else if (key == "deadline") {
@@ -114,7 +127,7 @@ void applyKey(ManifestEntry& e, const std::string& key,
     } else if (key == "iters") {
       j.opts.max_iterations = parseU32(value);
     } else if (key == "reorder-every") {
-      j.opts.reorder.every = parseU32(value);
+      j.opts.reorder_every = parseU32(value);
     } else if (key == "auto-reorder") {
       j.mgr.auto_reorder = parseBool(value);
     } else if (key == "trace") {

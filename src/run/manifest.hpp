@@ -10,8 +10,9 @@
 // Keys:
 //   circuit        .bench path or gen:<kind>:<args> (see run::resolveCircuit)
 //   name           report key (default "<circuit>/<engine>")
-//   engine         tr | tr-mono | cbm | bfv | cdec | hybrid | lz
-//                  (default bfv)
+//   engine         a tag of reach's engine table (reach::kEngines, printed
+//                  by `bfv_run --list-engines`): tr | tr-mono | cbm | bfv |
+//                  cdec | hybrid | lz (default bfv)
 //   order          natural | topo | reverse | random[:seed]   (default topo)
 //   deadline       wall-clock deadline in seconds, setup included (0 = none)
 //   seconds        engine time budget (ReachOptions::budget.max_seconds)
@@ -41,6 +42,7 @@
 //                  spurious interrupt
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -53,8 +55,19 @@ namespace bfvr::run {
 /// engine list it expands into.
 struct ManifestEntry {
   JobSpec spec;
-  std::vector<EngineKind> portfolio;  ///< empty = plain single-engine job
+  std::vector<reach::Engine> portfolio;  ///< empty = plain single-engine job
 };
+
+/// The manifest's value parsers, shared with the CLIs' flags. Each takes
+/// the whole token or throws std::invalid_argument saying what was wrong:
+/// a count is digits only (no sign, no blanks, no trailing junk).
+std::uint64_t parseU64(const std::string& s);
+unsigned parseU32(const std::string& s);
+double parseF64(const std::string& s);
+/// An engine tag; the error names every known tag.
+reach::Engine parseEngine(const std::string& s);
+/// The `portfolio=` list: comma-separated engine tags, at least one.
+std::vector<reach::Engine> parseEngineList(const std::string& s);
 
 /// Parse a manifest; throws std::runtime_error naming the offending line on
 /// any malformed entry. Circuits are NOT resolved here — a missing .bench

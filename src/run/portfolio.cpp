@@ -10,7 +10,7 @@
 namespace bfvr::run {
 
 PortfolioResult runPortfolio(WorkerPool& pool, const JobSpec& base,
-                             std::span<const EngineKind> engines) {
+                             std::span<const reach::Engine> engines) {
   PortfolioResult out;
   if (engines.empty()) return out;
   const Timer timer;
@@ -26,7 +26,7 @@ PortfolioResult runPortfolio(WorkerPool& pool, const JobSpec& base,
   for (std::size_t i = 0; i < engines.size(); ++i) {
     JobSpec spec = base;
     spec.engine = engines[i];
-    spec.name = base.displayName() + "/" + to_string(engines[i]);
+    spec.name = base.displayName() + "/" + reach::tag(engines[i]);
     const int index = static_cast<int>(i);
     futures.push_back(pool.submit(
         std::move(spec), token, [token, winner, index](const JobResult& r) {

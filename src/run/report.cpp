@@ -29,7 +29,7 @@ std::string jobJson(const JobRow& row) {
   o.add("name", spec.displayName())
       .add("circuit", spec.circuit)
       .add("order", order)
-      .add("engine", to_string(spec.engine))
+      .add("engine", reach::tag(spec.engine))
       .add("status", to_string(r.status))
       .add("worker", r.worker)
       .add("queue_seconds", r.queue_seconds)
@@ -51,7 +51,7 @@ std::string jobJson(const JobRow& row) {
   }
   if (r.reach.trace.has_value()) {
     o.addRaw("trace_report", reach::traceReport(spec.circuit, order,
-                                                to_string(spec.engine),
+                                                reach::tag(spec.engine),
                                                 r.reach));
   }
   return o.str();

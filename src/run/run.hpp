@@ -1,6 +1,6 @@
 // Concurrent job-runner & portfolio subsystem.
 //
-// The four engines in src/reach win on different circuits (the same
+// The engines of reach's engine table win on different circuits (the same
 // engine-selection sensitivity Goel & Bryant report across the ISCAS
 // circuits), and a bdd::Manager is documented single-threaded — so the
 // natural scaling unit is the *job*: one circuit + one engine + one fresh
@@ -57,30 +57,6 @@ class CancelToken {
   std::atomic<bool> flag_{false};
 };
 
-/// Engine selector, superset of the bench harness's RunSpec::Engine (adds
-/// the hybrid split/conjoin engine, so a 4-way portfolio covers all the
-/// image strategies the codebase implements).
-enum class EngineKind : std::uint8_t {
-  kTr,      ///< partitioned transition relations, IWLS95 schedule
-  kTrMono,  ///< monolithic transition relation
-  kCbm,     ///< Coudert/Berthet/Madre Fig. 1 flow
-  kBfv,     ///< the paper's Fig. 2 flow on functional vectors
-  kCdec,    ///< Fig. 2 on the conjunctive decomposition
-  kHybrid,  ///< per-iteration split-vs-conjoin chooser
-  kLz,      ///< logical-zonotope backend (src/lz): exact on XOR-affine
-            ///< circuits, sound over-approximating pre-filter elsewhere;
-            ///< the only engine that never builds a BDD manager
-};
-
-/// "tr" / "tr-mono" / "cbm" / "bfv" / "cdec" / "hybrid" / "lz".
-const char* to_string(EngineKind e) noexcept;
-/// Inverse of to_string; throws std::invalid_argument naming the known
-/// engines on an unknown tag.
-EngineKind parseEngineKind(const std::string& s);
-/// Every engine kind, in to_string order — the registry the CLI's
-/// --list-engines and the unknown-engine diagnostic enumerate.
-std::span<const EngineKind> allEngineKinds() noexcept;
-
 /// Retry escalation for jobs that run out of nodes. Attempt 1 runs the
 /// spec as given; when it ends kMemOut (and only then — a timeout or an
 /// error would fail the same way again) the job is re-run on a fresh
@@ -101,8 +77,6 @@ struct RetryPolicy {
   double backoff_seconds = 0.0;
   /// Budget multiplier of the raise-budget escalation step.
   double node_budget_growth = 2.0;
-  /// Resume retries from ReachOptions::checkpoint_path when it exists.
-  bool resume_from_checkpoint = true;
 };
 
 /// Per-worker cache of one live bdd::Manager reused across jobs
@@ -156,7 +130,7 @@ struct JobSpec {
   /// Circuit source: a `.bench` file path, or a generator spec
   /// `gen:<kind>:<args>` (see resolveCircuit for the accepted kinds).
   std::string circuit;
-  EngineKind engine = EngineKind::kBfv;
+  reach::Engine engine = reach::Engine::kBfv;
   circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
   /// Engine options; budget/trace/reorder policy all apply per job.
   reach::ReachOptions opts;
@@ -338,6 +312,6 @@ struct PortfolioResult {
 /// CancelToken; the first variant to finish with kDone cancels the rest.
 /// Blocks until every variant has returned (winners, losers and all).
 PortfolioResult runPortfolio(WorkerPool& pool, const JobSpec& base,
-                             std::span<const EngineKind> engines);
+                             std::span<const reach::Engine> engines);
 
 }  // namespace bfvr::run

@@ -17,6 +17,9 @@ namespace bfvr::svc {
 
 namespace {
 
+/// Flight-recorder ring capacity (recent events retained).
+constexpr std::size_t kFlightCapacity = 512;
+
 /// Read a spool checkpoint file whole. Empty on any failure: an eviction
 /// that raced ahead of the first snapshot simply restarts from scratch.
 std::shared_ptr<const std::vector<std::uint8_t>> slurpSpool(
@@ -77,7 +80,7 @@ Server::Server(const Options& opts)
       listener_(listenOn(endpoint_)),
       queue_(opts.tenants),
       table_(!opts.journal_dir.empty()),
-      flight_(opts.flight_capacity),
+      flight_(kFlightCapacity),
       pool_(opts.workers, opts.warm_managers) {
   // Configured tenants report from the start, idle or not.
   for (const TenantConfig& t : opts.tenants) statsFor(t.name);

@@ -81,8 +81,6 @@ class Server {
     /// error, injected worker fault, and shutdown ("" = no dumps; the ring
     /// still records and stays queryable over the stats frame).
     std::string flight_dir;
-    /// Flight-recorder ring capacity (recent events retained).
-    std::size_t flight_capacity = 512;
     /// Finished span timelines retained for stats/report queries;
     /// in-flight spans are always kept. Per-tenant span counts survive
     /// the trim.

@@ -27,26 +27,16 @@ TEST_P(DataFiles, ParsesAndValidates) {
   EXPECT_EQ(back.latches().size(), n.latches().size());
 }
 
-// Engine `e` of {tr, cbm, bfv, cdec} on a fresh topo-ordered manager, cut
-// at six iterations so the largest shipped circuits stay cheap.
-reach::ReachResult runCapped(const circuit::Netlist& n, unsigned e) {
+// Engine `e` on a fresh topo-ordered manager, cut at six iterations so the
+// largest shipped circuits stay cheap.
+reach::ReachResult runCapped(const circuit::Netlist& n, reach::Engine e) {
   bdd::Manager m(0);
   sym::StateSpace s(m, n,
                     circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
   reach::ReachOptions opts;
   opts.max_iterations = 6;
   opts.budget.max_seconds = 30.0;
-  switch (e) {
-    case 0:
-      return reach::reachTr(s, opts);
-    case 1:
-      return reach::reachCbm(s, opts);
-    case 2:
-      return reach::reachBfv(s, opts);
-    default:
-      opts.backend = reach::SetBackend::kCdec;
-      return reach::reachBfv(s, opts);
-  }
+  return reach::runEngine(s, e, opts);
 }
 
 // The same capped prefix of every shipped circuit under every BDD engine:
@@ -54,13 +44,13 @@ reach::ReachResult runCapped(const circuit::Netlist& n, unsigned e) {
 TEST_P(DataFiles, EnginesAgreeOnCappedReach) {
   const circuit::Netlist n = circuit::parseBenchFile(
       std::string(BFVR_DATA_DIR) + "/" + GetParam());
-  static const char* const kEngines[] = {"tr", "cbm", "bfv", "cdec"};
-  const reach::ReachResult ref = runCapped(n, 0);
-  for (unsigned e = 1; e < 4; ++e) {
+  const reach::ReachResult ref = runCapped(n, reach::Engine::kTr);
+  for (const reach::Engine e :
+       {reach::Engine::kCbm, reach::Engine::kBfv, reach::Engine::kCdec}) {
     const reach::ReachResult r = runCapped(n, e);
-    EXPECT_EQ(to_string(r.status), to_string(ref.status)) << kEngines[e];
-    EXPECT_EQ(r.iterations, ref.iterations) << kEngines[e];
-    EXPECT_DOUBLE_EQ(r.states, ref.states) << kEngines[e];
+    EXPECT_EQ(to_string(r.status), to_string(ref.status)) << reach::tag(e);
+    EXPECT_EQ(r.iterations, ref.iterations) << reach::tag(e);
+    EXPECT_DOUBLE_EQ(r.states, ref.states) << reach::tag(e);
   }
 }
 

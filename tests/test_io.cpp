@@ -25,6 +25,15 @@
 #define BFVR_DATA_DIR "data"
 #endif
 
+namespace bfvr::reach {
+
+// gtest prints the parameter into the discovered ctest name, so it must print
+// the same on every run: a std::string prints its text (a const char* would
+// print its ASLR-dependent address) and an Engine prints its tag.
+void PrintTo(Engine e, std::ostream* os) { *os << tag(e); }
+
+}  // namespace bfvr::reach
+
 namespace bfvr::io {
 namespace {
 
@@ -401,53 +410,14 @@ TEST(GoldenBytes, OneSmallCheckpoint) {
 // Kill-and-resume on the shipped circuits: the PR's acceptance matrix.
 // ---------------------------------------------------------------------------
 
-enum class Engine { kTr, kCbm, kBfv, kCdec, kHybrid };
-
-const char* name(Engine e) {
-  switch (e) {
-    case Engine::kTr:
-      return "tr";
-    case Engine::kCbm:
-      return "cbm";
-    case Engine::kBfv:
-      return "bfv";
-    case Engine::kCdec:
-      return "cdec";
-    case Engine::kHybrid:
-      return "hybrid";
-  }
-  return "?";
-}
-
-reach::ReachResult dispatch(Engine e, sym::StateSpace& s,
-                            reach::ReachOptions opts) {
-  switch (e) {
-    case Engine::kTr:
-      return reach::reachTr(s, opts);
-    case Engine::kCbm:
-      return reach::reachCbm(s, opts);
-    case Engine::kBfv:
-      opts.backend = reach::SetBackend::kBfv;
-      return reach::reachBfv(s, opts);
-    case Engine::kCdec:
-      opts.backend = reach::SetBackend::kCdec;
-      return reach::reachBfv(s, opts);
-    case Engine::kHybrid:
-      return reach::reachHybrid(s, opts);
-  }
-  throw std::logic_error("bad engine");
-}
-
-// gtest prints the parameter into the discovered ctest name, so it must print
-// the same on every run: a std::string prints its text (a const char* would
-// print its ASLR-dependent address) and an Engine prints its short name.
-void PrintTo(Engine e, std::ostream* os) { *os << name(e); }
+using reach::Engine;
 
 class ResumeMatrix
     : public ::testing::TestWithParam<std::tuple<std::string, Engine>> {};
 
 TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
   const auto [file, engine] = GetParam();
+  const char* tag = reach::tag(engine);
   const circuit::Netlist n =
       circuit::parseBenchFile(std::string(BFVR_DATA_DIR) + "/" + file);
   const circuit::OrderSpec order{circuit::OrderKind::kTopo, 0};
@@ -458,16 +428,15 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
   {
     Manager m(0);
     sym::StateSpace s(m, n, circuit::makeOrder(n, order));
-    ref = dispatch(engine, s, {});
+    ref = reach::runEngine(s, engine);
     ref_chi_nodes = reach::reachedSizes(s, ref).chi_nodes;
     ref.reached_bfv.reset();
     ref.reached_chi = Bdd();
   }
-  EXPECT_GT(ref_chi_nodes, 0U) << file << " " << name(engine);
-  ASSERT_EQ(ref.status, RunStatus::kDone) << file << " " << name(engine);
+  EXPECT_GT(ref_chi_nodes, 0U) << file << " " << tag;
+  ASSERT_EQ(ref.status, RunStatus::kDone) << file << " " << tag;
 
-  const std::string path =
-      tmpPath(std::string("resume_") + file + "_" + name(engine));
+  const std::string path = tmpPath("resume_" + file + "_" + tag);
   if (ref.iterations > 1) {
     // Kill the run mid-fixpoint (max_iterations plays the crash), leaving a
     // checkpoint of every completed iteration behind.
@@ -477,7 +446,7 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
     opts.checkpoint_every = 1;
     opts.checkpoint_path = path;
     opts.max_iterations = ref.iterations / 2;
-    const reach::ReachResult killed = dispatch(engine, s, opts);
+    const reach::ReachResult killed = reach::runEngine(s, engine, opts);
     ASSERT_EQ(killed.status, RunStatus::kDone);
     ASSERT_EQ(killed.iterations, ref.iterations / 2);
   } else {
@@ -489,19 +458,10 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
     Manager m(0);
     sym::StateSpace s(m, n, circuit::makeOrder(n, order));
     Checkpoint c;
-    c.engine = name(engine);
+    c.engine = tag;
     c.iteration = 0;
     c.level2var = m.currentOrder();
     switch (engine) {
-      case Engine::kTr:
-      case Engine::kCbm:
-      case Engine::kHybrid: {
-        const Bdd init = sym::initialChar(s);
-        c.kind = RootKind::kChi;
-        c.reached = {init};
-        c.frontier = {init};
-        break;
-      }
       case Engine::kBfv: {
         const bfv::Bfv init =
             bfv::Bfv::point(m, s.currentVars(), s.initialBits());
@@ -520,6 +480,13 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
         c.frontier = init.constraints();
         break;
       }
+      default: {  // the chi engines
+        const Bdd init = sym::initialChar(s);
+        c.kind = RootKind::kChi;
+        c.reached = {init};
+        c.frontier = {init};
+        break;
+      }
     }
     save(path, c);
   }
@@ -528,11 +495,11 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
   Manager m(0);
   sym::StateSpace s(m, n, circuit::makeOrder(n, order));
   const reach::ReachResult resumed = reach::resumeReach(s, path, {});
-  EXPECT_EQ(resumed.status, ref.status) << file << " " << name(engine);
-  EXPECT_EQ(resumed.iterations, ref.iterations) << file << " " << name(engine);
-  EXPECT_DOUBLE_EQ(resumed.states, ref.states) << file << " " << name(engine);
+  EXPECT_EQ(resumed.status, ref.status) << file << " " << tag;
+  EXPECT_EQ(resumed.iterations, ref.iterations) << file << " " << tag;
+  EXPECT_DOUBLE_EQ(resumed.states, ref.states) << file << " " << tag;
   EXPECT_EQ(reach::reachedSizes(s, resumed).chi_nodes, ref_chi_nodes)
-      << file << " " << name(engine);
+      << file << " " << tag;
   std::remove(path.c_str());
 }
 
@@ -584,6 +551,24 @@ TEST(Resume, InconsistentVectorCheckpointThrowsIoError) {
     c.reached = c.frontier = roots;
     EXPECT_THROW(reach::resumeReach(s, encode(c), {}), Error)
         << engine << ": choice variables";
+  }
+}
+
+TEST(Resume, TagThatNamesNoBddEngineThrowsIoError) {
+  // CRC-valid chi checkpoints whose tag the engine table lacks ("warp",
+  // "") or names an engine that writes no checkpoint of its own: lz runs
+  // without a manager, and tr-mono runs write "tr".
+  const circuit::Netlist n = circuit::makeCounter(4, 10);
+  for (const char* tag : {"lz", "tr-mono", "warp", ""}) {
+    Manager m(0);
+    sym::StateSpace s(m, n,
+                      circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
+    Checkpoint c;
+    c.engine = tag;
+    c.level2var = m.currentOrder();
+    c.reached = c.frontier = {sym::initialChar(s)};
+    EXPECT_THROW(reach::resumeReach(s, encode(c), {}), Error) << "'" << tag
+                                                              << "'";
   }
 }
 

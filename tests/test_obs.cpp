@@ -257,41 +257,19 @@ TEST(PhaseSeconds, SinceIsFieldWise) {
 // Per-iteration traces from every engine
 // ---------------------------------------------------------------------------
 
-enum class Engine { kTr, kCbm, kBfv, kCdec, kHybrid };
-
-reach::ReachResult runEngine(Engine e, sym::StateSpace& s,
-                             reach::ReachOptions opts) {
-  opts.max_iterations = 2000;
-  switch (e) {
-    case Engine::kTr:
-      return reach::reachTr(s, opts);
-    case Engine::kCbm:
-      return reach::reachCbm(s, opts);
-    case Engine::kBfv:
-      opts.backend = reach::SetBackend::kBfv;
-      return reach::reachBfv(s, opts);
-    case Engine::kCdec:
-      opts.backend = reach::SetBackend::kCdec;
-      return reach::reachBfv(s, opts);
-    case Engine::kHybrid:
-      return reach::reachHybrid(s, opts);
-  }
-  throw std::logic_error("bad engine");
-}
-
 TEST(ReachTrace, LengthMatchesIterationsOnEveryEngine) {
   const circuit::Netlist n = circuit::makeJohnson(5);
-  for (const Engine e : {Engine::kTr, Engine::kCbm, Engine::kBfv,
-                         Engine::kCdec, Engine::kHybrid}) {
+  for (const reach::EngineInfo& e : reach::kEngines) {
+    if (e.engine == reach::Engine::kLz) continue;
     bdd::Manager m(0);
     sym::StateSpace s(m, n, circuit::makeOrder(n, {}));
     reach::ReachOptions opts;
     opts.trace = true;
-    const reach::ReachResult r = runEngine(e, s, opts);
-    ASSERT_EQ(r.status, RunStatus::kDone) << static_cast<int>(e);
-    ASSERT_TRUE(r.trace.has_value()) << static_cast<int>(e);
-    ASSERT_EQ(r.trace->iterations.size(), r.iterations)
-        << static_cast<int>(e);
+    opts.max_iterations = 2000;
+    const reach::ReachResult r = reach::runEngine(s, e.engine, opts);
+    ASSERT_EQ(r.status, RunStatus::kDone) << e.tag;
+    ASSERT_TRUE(r.trace.has_value()) << e.tag;
+    ASSERT_EQ(r.trace->iterations.size(), r.iterations) << e.tag;
     for (std::size_t i = 0; i < r.trace->iterations.size(); ++i) {
       const obs::IterationRecord& rec = r.trace->iterations[i];
       EXPECT_EQ(rec.iteration, i + 1);
@@ -356,14 +334,16 @@ TEST(ReachTrace, EveryEngineCountsTheSameFrontierStates) {
       circuit::parseBenchFile(std::string(BFVR_DATA_DIR) + "/twin6.bench")};
   for (const circuit::Netlist& n : circuits) {
     std::vector<double> ref;
-    for (const Engine e : {Engine::kTr, Engine::kCbm, Engine::kHybrid,
-                           Engine::kBfv, Engine::kCdec}) {
+    for (const reach::Engine e :
+         {reach::Engine::kTr, reach::Engine::kCbm, reach::Engine::kHybrid,
+          reach::Engine::kBfv, reach::Engine::kCdec}) {
       bdd::Manager m(0);
       sym::StateSpace s(m, n, circuit::makeOrder(n, {}));
       reach::ReachOptions opts;
       opts.trace = true;
       opts.frontier = reach::FrontierPolicy::kReached;
-      const reach::ReachResult r = runEngine(e, s, opts);
+      opts.max_iterations = 2000;
+      const reach::ReachResult r = reach::runEngine(s, e, opts);
       ASSERT_EQ(r.status, RunStatus::kDone) << n.name();
       ASSERT_TRUE(r.trace.has_value()) << n.name();
       std::vector<double> seq;
@@ -377,7 +357,7 @@ TEST(ReachTrace, EveryEngineCountsTheSameFrontierStates) {
       if (ref.empty()) {
         ref = seq;
       } else {
-        EXPECT_EQ(seq, ref) << n.name() << " engine " << static_cast<int>(e);
+        EXPECT_EQ(seq, ref) << n.name() << " engine " << reach::tag(e);
       }
     }
   }

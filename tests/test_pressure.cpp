@@ -13,6 +13,8 @@
 #include "bfv/bfv.hpp"
 #include "circuit/generators.hpp"
 #include "reach/engine.hpp"
+#include "run/manifest.hpp"
+#include "run/run.hpp"
 #include "sym/space.hpp"
 
 namespace bfvr::bdd {
@@ -411,23 +413,14 @@ TEST(PressureLadder, RenameAndComposeSurviveAReorderRerun) {
 // Engine-level behavior: kMemOut folds and the tight-budget rescue suite.
 // ---------------------------------------------------------------------------
 
+// MemOutFold's engine parameter. Each ctest name prints the raw bytes of
+// its value, so this stays a 4-byte enum numbered 0..3.
 enum class Engine { kTr, kCbm, kBfv, kCdec };
 
-reach::ReachResult runEngine(Engine e, sym::StateSpace& s,
-                             reach::ReachOptions opts = {}) {
-  switch (e) {
-    case Engine::kTr:
-      return reach::reachTr(s, opts);
-    case Engine::kCbm:
-      return reach::reachCbm(s, opts);
-    case Engine::kBfv:
-      opts.backend = reach::SetBackend::kBfv;
-      return reach::reachBfv(s, opts);
-    case Engine::kCdec:
-      opts.backend = reach::SetBackend::kCdec;
-      return reach::reachBfv(s, opts);
-  }
-  throw std::logic_error("bad engine");
+reach::ReachResult runEngine(Engine e, sym::StateSpace& s) {
+  constexpr reach::Engine kOf[] = {reach::Engine::kTr, reach::Engine::kCbm,
+                                   reach::Engine::kBfv, reach::Engine::kCdec};
+  return reach::runEngine(s, kOf[static_cast<int>(e)]);
 }
 
 class MemOutFold : public ::testing::TestWithParam<Engine> {};
@@ -523,6 +516,116 @@ TEST(PressureLadder, RescuesTightBudgetRunsAtIdenticalStateCounts) {
   ASSERT_GT(eligible, 0);
   EXPECT_GE(rescued * 2, eligible)
       << "ladder rescued " << rescued << "/" << eligible;
+}
+
+// ---------------------------------------------------------------------------
+// Reordering never changes a count: a CDEC run holds its order.
+// ---------------------------------------------------------------------------
+
+TEST(ReorderSound, OrderHoldSkipsStepAutomaticAndEmergencyReorders) {
+  // ReorderRungFiresWhenLighterRungsAreDisabled's ladder, with the auto
+  // trigger armed at every safe point, under a hold: no reorder of any
+  // kind runs, and the safe point still collects.
+  Manager::Config cfg;
+  cfg.max_nodes = 128;
+  cfg.gc_threshold = 1;
+  cfg.auto_reorder = true;
+  cfg.reorder_threshold = 1;
+  cfg.pressure_ladder.enabled = true;
+  cfg.pressure_ladder.forced_gc = false;
+  cfg.pressure_ladder.shrink_cache = false;
+  Manager m(10, cfg);
+  Recorder rec;
+  m.setEventSink(&rec);
+  const std::vector<unsigned> order = m.currentOrder();
+  {
+    const Manager::OrderHold hold(m);
+    makeGarbage(m, 110);
+    m.reorder();
+    m.maybeGc();
+    EXPECT_EQ(m.stats().gc_runs, 1U);
+    try {
+      (void)parityOfAll(m);
+    } catch (const NodeBudgetExceeded&) {
+      // No rung is left to run.
+    }
+    EXPECT_EQ(m.currentOrder(), order);
+    EXPECT_EQ(m.stats().reorder_runs, 0U);
+    EXPECT_TRUE(rec.rungs().empty());
+  }
+  m.reorder();
+  EXPECT_EQ(m.stats().reorder_runs, 1U);
+  m.setEventSink(nullptr);
+}
+
+TEST(ReorderSound, EveryBddEngineKeepsItsCountsUnderStepAndAutoReorder) {
+  // Each run under step reordering and under automatic reordering must end
+  // as the same run without reordering does. The CDEC runs hold their order
+  // and never reorder at all.
+  const std::string data = BFVR_DATA_DIR;
+  const std::string circuits[] = {data + "/johnson8.bench",
+                                  data + "/fifo3.bench", "gen:fifo:4",
+                                  "gen:johnson:12"};
+  const circuit::OrderSpec ospec{circuit::OrderKind::kTopo, 0};
+  for (const std::string& spec : circuits) {
+    const circuit::Netlist n = run::resolveCircuit(spec);
+    for (const reach::EngineInfo& e : reach::kEngines) {
+      if (e.engine == reach::Engine::kLz) continue;
+      const auto runWith = [&](const Manager::Config& cfg,
+                               unsigned reorder_every) {
+        Manager m(0, cfg);
+        sym::StateSpace s(m, n, circuit::makeOrder(n, ospec));
+        reach::ReachOptions opts;
+        opts.reorder_every = reorder_every;
+        return reach::runEngine(s, e.engine, opts);
+      };
+      const reach::ReachResult plain = runWith({}, 0);
+      ASSERT_EQ(plain.status, RunStatus::kDone) << spec << " " << e.tag;
+      Manager::Config automatic;
+      automatic.auto_reorder = true;
+      automatic.reorder_threshold = 64;
+      for (const reach::ReachResult& r :
+           {runWith({}, 1), runWith(automatic, 0)}) {
+        const bool held = e.engine == reach::Engine::kCdec;
+        EXPECT_EQ(r.status, plain.status) << spec << " " << e.tag;
+        EXPECT_EQ(r.iterations, plain.iterations) << spec << " " << e.tag;
+        EXPECT_EQ(r.states, plain.states) << spec << " " << e.tag;
+        EXPECT_EQ(r.ops.reorder_runs == 0, held) << spec << " " << e.tag;
+      }
+    }
+  }
+}
+
+run::JobResult runManifestLine(const std::string& line) {
+  std::vector<run::ManifestEntry> entries = run::parseManifestString(line);
+  EXPECT_EQ(entries.size(), 1U);
+  return run::executeJob(entries.at(0).spec);
+}
+
+TEST(ReorderSound, CdecUnderTheLaddersEmergencyReorderNeverMiscounts) {
+  // The ladder's last rung reorders; a held CDEC run skips it, so a tight
+  // budget ends the run out of nodes instead of done with a wrong count.
+  const run::JobResult r = runManifestLine(
+      "circuit=gen:johnson:12 engine=cdec max-nodes=1000 ladder=1");
+  EXPECT_NE(r.status, RunStatus::kError) << r.message;
+  if (r.status == RunStatus::kDone) {
+    EXPECT_EQ(r.reach.states, 24.0);
+    EXPECT_EQ(r.reach.iterations, 24U);
+  }
+}
+
+TEST(ReorderSound, CdecUnderTheRetryEscalationNeverMiscounts) {
+  // Attempt 1 runs out of live nodes; attempt 2 of the escalation turns
+  // auto-reorder on, which the CDEC run holds off.
+  const run::JobResult r =
+      runManifestLine("circuit=gen:fifo:4 engine=cdec nodes=300 retries=8");
+  EXPECT_NE(r.status, RunStatus::kError) << r.message;
+  ASSERT_GE(r.attempts.size(), 2U);
+  EXPECT_EQ(r.attempts[1].escalation, "auto-reorder+ladder");
+  if (r.status == RunStatus::kDone) {
+    EXPECT_EQ(r.reach.states, 272.0);
+    EXPECT_EQ(r.reach.iterations, 32U);
+  }
 }
 
 }  // namespace

@@ -28,37 +28,19 @@ using circuit::Netlist;
 using circuit::OrderKind;
 using circuit::OrderSpec;
 
-enum class Engine { kTr, kCbm, kBfv, kCdec };
+// ReachMatrix's engine parameter. Each ctest name prints the raw bytes of
+// its value, so this stays a 4-byte enum numbered 0..3.
+enum class MatrixEngine { kTr, kCbm, kBfv, kCdec };
 
-const char* name(Engine e) {
-  switch (e) {
-    case Engine::kTr:
-      return "tr";
-    case Engine::kCbm:
-      return "cbm";
-    case Engine::kBfv:
-      return "bfv";
-    case Engine::kCdec:
-      return "cdec";
-  }
-  return "?";
+Engine engineOf(MatrixEngine e) {
+  constexpr Engine kOf[] = {Engine::kTr, Engine::kCbm, Engine::kBfv,
+                            Engine::kCdec};
+  return kOf[static_cast<int>(e)];
 }
 
 ReachResult run(Engine e, sym::StateSpace& s, ReachOptions opts = {}) {
   opts.max_iterations = 2000;
-  switch (e) {
-    case Engine::kTr:
-      return reachTr(s, opts);
-    case Engine::kCbm:
-      return reachCbm(s, opts);
-    case Engine::kBfv:
-      opts.backend = SetBackend::kBfv;
-      return reachBfv(s, opts);
-    case Engine::kCdec:
-      opts.backend = SetBackend::kCdec;
-      return reachBfv(s, opts);
-  }
-  throw std::logic_error("bad engine");
+  return runEngine(s, e, opts);
 }
 
 Netlist circuitByIndex(int idx) {
@@ -81,10 +63,12 @@ Netlist circuitByIndex(int idx) {
 }
 
 class ReachMatrix
-    : public ::testing::TestWithParam<std::tuple<int, OrderKind, Engine>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<int, OrderKind, MatrixEngine>> {};
 
 TEST_P(ReachMatrix, CountsMatchExplicitOracle) {
-  const auto [cidx, kind, engine] = GetParam();
+  const auto [cidx, kind, matrix_engine] = GetParam();
+  const Engine engine = engineOf(matrix_engine);
   const Netlist n = circuitByIndex(cidx);
   const auto oracle = circuit::explicitReach(n);
   ASSERT_TRUE(oracle.has_value());
@@ -94,7 +78,7 @@ TEST_P(ReachMatrix, CountsMatchExplicitOracle) {
   const ReachResult r = run(engine, space);
   // Failure messages name the case: the ctest name shows only raw bytes.
   const std::string label = n.name() + " " + OrderSpec{kind, 1}.label() +
-                            " " + name(engine);
+                            " " + tag(engine);
   ASSERT_EQ(r.status, RunStatus::kDone) << label;
   EXPECT_DOUBLE_EQ(r.states, static_cast<double>(oracle->size())) << label;
   // Each engine returns its reached set in its own representation only;
@@ -141,8 +125,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(OrderKind::kNatural, OrderKind::kTopo,
                                          OrderKind::kReverse,
                                          OrderKind::kRandom),
-                       ::testing::Values(Engine::kTr, Engine::kCbm,
-                                         Engine::kBfv, Engine::kCdec)));
+                       ::testing::Values(MatrixEngine::kTr, MatrixEngine::kCbm,
+                                         MatrixEngine::kBfv,
+                                         MatrixEngine::kCdec)));
 
 TEST(Reach, FrontierHeuristicDoesNotChangeTheResult) {
   const Netlist n = circuit::makeFifoCtrl(2);
@@ -154,7 +139,7 @@ TEST(Reach, FrontierHeuristicDoesNotChangeTheResult) {
     const ReachResult a = run(e, s1, reached);
     ASSERT_EQ(a.status, RunStatus::kDone);
     const std::size_t chi_nodes = reachedSizes(s1, a).chi_nodes;
-    EXPECT_GT(chi_nodes, 0U) << name(e);
+    EXPECT_GT(chi_nodes, 0U) << tag(e);
 
     for (const FrontierPolicy p :
          {FrontierPolicy::kPaper, FrontierPolicy::kGuarded}) {
@@ -165,9 +150,9 @@ TEST(Reach, FrontierHeuristicDoesNotChangeTheResult) {
       opts.frontier = p;
       const ReachResult b = run(e, s2, opts);
       EXPECT_EQ(b.status, RunStatus::kDone);
-      EXPECT_DOUBLE_EQ(a.states, b.states) << name(e);
-      EXPECT_EQ(a.iterations, b.iterations) << name(e);
-      EXPECT_EQ(chi_nodes, reachedSizes(s2, b).chi_nodes) << name(e);
+      EXPECT_DOUBLE_EQ(a.states, b.states) << tag(e);
+      EXPECT_EQ(a.iterations, b.iterations) << tag(e);
+      EXPECT_EQ(chi_nodes, reachedSizes(s2, b).chi_nodes) << tag(e);
     }
   }
 }

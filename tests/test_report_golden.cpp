@@ -108,7 +108,7 @@ run::AttemptRecord goldenAttempt(RunStatus s, double seconds) {
 std::vector<run::JobRow> goldenJobs() {
   std::vector<run::JobRow> jobs;
   jobs.reserve(7);  // job() hands out references into it
-  const auto job = [&](const std::string& circuit, run::EngineKind e,
+  const auto job = [&](const std::string& circuit, reach::Engine e,
                        RunStatus s, unsigned worker) -> run::JobRow& {
     run::JobRow j;
     j.spec.circuit = circuit;
@@ -123,10 +123,10 @@ std::vector<run::JobRow> goldenJobs() {
     jobs.push_back(std::move(j));
     return jobs.back();
   };
-  job("data/fifo3.bench", run::EngineKind::kBfv, RunStatus::kDone, 0);
+  job("data/fifo3.bench", reach::Engine::kBfv, RunStatus::kDone, 0);
 
   run::JobRow& retried =
-      job("gen:counter:8:200", run::EngineKind::kBfv, RunStatus::kDone, 1);
+      job("gen:counter:8:200", reach::Engine::kBfv, RunStatus::kDone, 1);
   retried.spec.name = "cnt8-retry";
   retried.spec.order = {circuit::OrderKind::kNatural, 0};
   retried.result.attempts.clear();
@@ -141,30 +141,30 @@ std::vector<run::JobRow> goldenJobs() {
   retried.result.seconds = 1.0;
 
   run::JobRow& win =
-      job("data/arb4.bench", run::EngineKind::kTr, RunStatus::kDone, 0);
+      job("data/arb4.bench", reach::Engine::kTr, RunStatus::kDone, 0);
   win.spec.name = "data/arb4.bench/tr";
   win.group = "data/arb4.bench";
   win.winner = true;
   run::JobRow& lose =
-      job("data/arb4.bench", run::EngineKind::kCbm, RunStatus::kCancelled, 1);
+      job("data/arb4.bench", reach::Engine::kCbm, RunStatus::kCancelled, 1);
   lose.spec.name = "data/arb4.bench/cbm";
   lose.group = "data/arb4.bench";
   lose.result.message = "cancelled";
   lose.result.attempts.back().message = "cancelled";
 
   run::JobRow& bad =
-      job("nope.bench", run::EngineKind::kBfv, RunStatus::kError, 0);
+      job("nope.bench", reach::Engine::kBfv, RunStatus::kError, 0);
   bad.result.message = "cannot open nope.bench";
   bad.result.attempts.back().message = "cannot open nope.bench";
   bad.result.reach = reach::ReachResult{};
   bad.result.reach.status = RunStatus::kError;
 
   run::JobRow& traced =
-      job("data/fifo3.bench", run::EngineKind::kCdec, RunStatus::kDone, 1);
+      job("data/fifo3.bench", reach::Engine::kCdec, RunStatus::kDone, 1);
   traced.spec.order = {circuit::OrderKind::kRandom, 3};
   traced.result.reach = goldenTracedRun();
 
-  run::JobRow& lz = job("data/arb4.bench", run::EngineKind::kLz,
+  run::JobRow& lz = job("data/arb4.bench", reach::Engine::kLz,
                       RunStatus::kInconclusive, 0);
   lz.result.message = "over-approximate: 3 lossy products";
   lz.result.attempts.back().message = lz.result.message;

@@ -33,6 +33,7 @@ namespace {
 using bdd::Bdd;
 using bdd::Interrupted;
 using bdd::Manager;
+using reach::Engine;
 using test::bddFromTruth;
 using test::randomTruth;
 using test::truthOf;
@@ -129,7 +130,7 @@ TEST(RunInterrupt, PollsSkippedWhileReordering) {
 TEST(RunJob, CompletesSmallCircuit) {
   JobSpec spec;
   spec.circuit = "gen:johnson:8";
-  spec.engine = EngineKind::kBfv;
+  spec.engine = Engine::kBfv;
   const JobResult r = executeJob(spec);
   EXPECT_EQ(r.status, RunStatus::kDone);
   EXPECT_EQ(r.reach.states, 16.0);
@@ -143,7 +144,7 @@ TEST(RunJob, CompletesSmallCircuit) {
 TEST(RunJob, DeadlineTimesOut) {
   JobSpec spec;
   spec.circuit = "gen:counter:26:67108864";  // ~67M iterations: unreachable
-  spec.engine = EngineKind::kTr;
+  spec.engine = Engine::kTr;
   spec.deadline_seconds = 0.2;
   const JobResult r = executeJob(spec);
   EXPECT_EQ(r.status, RunStatus::kTimeOut);
@@ -155,7 +156,7 @@ TEST(RunJob, PreCancelledTokenCancels) {
   token.cancel();
   JobSpec spec;
   spec.circuit = "gen:counter:20:1048576";
-  spec.engine = EngineKind::kTr;
+  spec.engine = Engine::kTr;
   const JobResult r = executeJob(spec, &token);
   EXPECT_EQ(r.status, RunStatus::kCancelled);
 }
@@ -171,12 +172,18 @@ TEST(RunJob, BadSpecsFoldToErrorStatus) {
   r = executeJob(spec);
   EXPECT_EQ(r.status, RunStatus::kError);
   EXPECT_FALSE(r.message.empty());
+
+  // Generator arguments are whole numbers: "4x" is not a 4.
+  spec.circuit = "gen:counter:4x:10";
+  r = executeJob(spec);
+  EXPECT_EQ(r.status, RunStatus::kError);
+  EXPECT_NE(r.message.find("'4x'"), std::string::npos) << r.message;
 }
 
 TEST(RunJob, TinyManagerBudgetIsMemOut) {
   JobSpec spec;
   spec.circuit = "gen:crc:8";
-  spec.engine = EngineKind::kCbm;
+  spec.engine = Engine::kCbm;
   spec.mgr.max_nodes = 64;  // setup itself blows this
   const JobResult r = executeJob(spec);
   EXPECT_EQ(r.status, RunStatus::kMemOut);
@@ -191,7 +198,7 @@ TEST(RunJob, TinyManagerBudgetIsMemOut) {
 TEST(RunJob, TimeOutCarriesAMessage) {
   JobSpec spec;
   spec.circuit = "gen:counter:26:67108864";
-  spec.engine = EngineKind::kTr;
+  spec.engine = Engine::kTr;
   spec.deadline_seconds = 0.2;
   const JobResult r = executeJob(spec);
   ASSERT_EQ(r.status, RunStatus::kTimeOut);
@@ -201,16 +208,14 @@ TEST(RunJob, TimeOutCarriesAMessage) {
 TEST(RunJob, OpCountsMatchDirectRun) {
   JobSpec spec;
   spec.circuit = "gen:johnson:8";
-  spec.engine = EngineKind::kBfv;
+  spec.engine = Engine::kBfv;
   const JobResult viaJob = executeJob(spec);
   ASSERT_EQ(viaJob.status, RunStatus::kDone);
 
   const circuit::Netlist n = resolveCircuit(spec.circuit);
   Manager m(0);
   sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
-  reach::ReachOptions opts = spec.opts;
-  opts.backend = reach::SetBackend::kBfv;
-  const reach::ReachResult direct = reach::reachBfv(s, opts);
+  const reach::ReachResult direct = reach::reachBfv(s, spec.opts);
 
   // The runner adds scheduling and interrupt plumbing but must not perturb
   // the computation: identical op counters, iteration and state counts.
@@ -233,7 +238,7 @@ TEST(RunPool, RunsJobsAcrossWorkers) {
   for (const char* c : circuits) {
     JobSpec spec;
     spec.circuit = c;
-    spec.engine = EngineKind::kBfv;
+    spec.engine = Engine::kBfv;
     futs.push_back(pool.submit(std::move(spec)));
   }
   for (auto& f : futs) {
@@ -248,7 +253,7 @@ TEST(RunPool, CancelStopsRunningJobQuickly) {
   WorkerPool pool(1);
   JobSpec spec;
   spec.circuit = "gen:counter:26:67108864";  // would run ~forever
-  spec.engine = EngineKind::kTr;
+  spec.engine = Engine::kTr;
   auto token = std::make_shared<CancelToken>();
   std::future<JobResult> fut = pool.submit(spec, token);
   // Let the job get well into its fixpoint loop, then pull the plug. The
@@ -267,8 +272,8 @@ TEST(RunPortfolio, WinnerCancelsLosers) {
   JobSpec base;
   base.name = "cnt13";
   base.circuit = "gen:counter:13:8192";  // 8192 iterations: ~a second, not ms
-  const EngineKind engines[] = {EngineKind::kTr, EngineKind::kBfv,
-                                EngineKind::kCbm};
+  const Engine engines[] = {Engine::kTr, Engine::kBfv,
+                                Engine::kCbm};
   const PortfolioResult race = runPortfolio(pool, base, engines);
   ASSERT_EQ(race.jobs.size(), 3U);
   ASSERT_NE(race.winner, -1);
@@ -291,7 +296,7 @@ TEST(RunPortfolio, NoWinnerWhenAllTimeOut) {
   JobSpec base;
   base.circuit = "gen:counter:26:67108864";
   base.deadline_seconds = 0.2;
-  const EngineKind engines[] = {EngineKind::kTr, EngineKind::kBfv};
+  const Engine engines[] = {Engine::kTr, Engine::kBfv};
   const PortfolioResult race = runPortfolio(pool, base, engines);
   ASSERT_EQ(race.jobs.size(), 2U);
   EXPECT_EQ(race.winner, -1);
@@ -311,13 +316,13 @@ TEST(RunManifest, ParsesKeysAndPortfolio) {
   ASSERT_EQ(entries.size(), 2U);
   EXPECT_EQ(entries[0].spec.name, "a");
   EXPECT_EQ(entries[0].spec.circuit, "data/a.bench");
-  EXPECT_EQ(entries[0].spec.engine, EngineKind::kCbm);
+  EXPECT_EQ(entries[0].spec.engine, Engine::kCbm);
   EXPECT_EQ(entries[0].spec.order.kind, circuit::OrderKind::kRandom);
   EXPECT_EQ(entries[0].spec.order.seed, 7U);
   EXPECT_EQ(entries[0].spec.deadline_seconds, 1.5);
   EXPECT_TRUE(entries[0].portfolio.empty());
   EXPECT_EQ(entries[1].portfolio,
-            (std::vector<EngineKind>{EngineKind::kTr, EngineKind::kBfv}));
+            (std::vector<Engine>{Engine::kTr, Engine::kBfv}));
   EXPECT_TRUE(entries[1].spec.opts.trace);
   EXPECT_EQ(entries[1].spec.opts.budget.max_live_nodes, 5000U);
   EXPECT_EQ(entries[1].spec.mgr.max_nodes, 100000U);
@@ -407,7 +412,7 @@ TEST(RunManifest, ParsesShippedSmokeManifest) {
       parseManifestFile(BFVR_DATA_DIR "/ci_smoke.manifest");
   ASSERT_EQ(entries.size(), 3U);
   EXPECT_EQ(entries[0].spec.name, "smoke-johnson8");
-  EXPECT_EQ(entries[1].spec.engine, EngineKind::kTr);
+  EXPECT_EQ(entries[1].spec.engine, Engine::kTr);
   EXPECT_EQ(entries[1].spec.deadline_seconds, 0.5);
 }
 
@@ -421,7 +426,7 @@ TEST(RunManifest, ParsesShippedSmokeManifest) {
 std::size_t tightBudgetFor(const char* circuit) {
   JobSpec probe;
   probe.circuit = circuit;
-  probe.engine = EngineKind::kBfv;
+  probe.engine = Engine::kBfv;
   const JobResult ref = executeJob(probe);
   EXPECT_EQ(ref.status, RunStatus::kDone);
   return ref.reach.peak_live_nodes * 3 / 2;
@@ -431,7 +436,7 @@ TEST(RunRetry, EscalationClimbsTheLadderToSuccess) {
   const char* circuit = "gen:counter:8:200";
   JobSpec spec;
   spec.circuit = circuit;
-  spec.engine = EngineKind::kBfv;
+  spec.engine = Engine::kBfv;
   spec.mgr.max_nodes = tightBudgetFor(circuit);
 
   // Sanity: without retries, the tight budget is fatal.
@@ -464,7 +469,7 @@ TEST(RunRetry, ResumesFromTheLatestCheckpoint) {
   std::remove(path.c_str());
   JobSpec spec;
   spec.circuit = circuit;
-  spec.engine = EngineKind::kBfv;
+  spec.engine = Engine::kBfv;
   spec.mgr.max_nodes = tightBudgetFor(circuit);
   spec.retry.max_attempts = 6;
   spec.opts.checkpoint_every = 1;
@@ -485,7 +490,7 @@ TEST(RunRetry, ResumesFromTheLatestCheckpoint) {
 TEST(RunRetry, NoRetryOnTimeouts) {
   JobSpec spec;
   spec.circuit = "gen:counter:26:67108864";
-  spec.engine = EngineKind::kTr;
+  spec.engine = Engine::kTr;
   spec.deadline_seconds = 0.2;
   spec.retry.max_attempts = 4;  // must be ignored: a timeout repeats
   const JobResult r = executeJob(spec);
@@ -496,7 +501,7 @@ TEST(RunRetry, NoRetryOnTimeouts) {
 TEST(RunFaults, InjectedAllocationFailureFoldsToMemOut) {
   JobSpec spec;
   spec.circuit = "gen:counter:8:200";
-  spec.engine = EngineKind::kBfv;
+  spec.engine = Engine::kBfv;
   spec.faults.alloc_failures = {test::kCounter8m200MidRunAlloc};
   const JobResult r = executeJob(spec);
   ASSERT_EQ(r.status, RunStatus::kMemOut);
@@ -512,19 +517,19 @@ TEST(RunFaults, WorkerSurvivesInjectedFaultsAndRunsTheNextJob) {
 
   JobSpec crash;
   crash.circuit = "gen:counter:8:200";
-  crash.engine = EngineKind::kBfv;
+  crash.engine = Engine::kBfv;
   crash.faults.alloc_failures = {test::kCounter8m200MidRunAlloc};
   std::future<JobResult> f1 = pool.submit(crash);
 
   JobSpec interrupt;  // spurious interrupt at a GC/poll boundary
   interrupt.circuit = "gen:counter:8:200";
-  interrupt.engine = EngineKind::kBfv;
+  interrupt.engine = Engine::kBfv;
   interrupt.faults.spurious_interrupts = {2};
   std::future<JobResult> f2 = pool.submit(interrupt);
 
   JobSpec clean;
   clean.circuit = "gen:johnson:8";
-  clean.engine = EngineKind::kBfv;
+  clean.engine = Engine::kBfv;
   std::future<JobResult> f3 = pool.submit(clean);
 
   const JobResult r1 = f1.get();
@@ -572,7 +577,7 @@ TEST(RunManifest, ParsesRobustnessKeys) {
 TEST(RunWarm, CacheReusesAManagerAndStaysBitIdentical) {
   JobSpec spec;
   spec.circuit = "gen:counter:6:40";
-  spec.engine = EngineKind::kBfv;
+  spec.engine = Engine::kBfv;
   const JobResult cold = executeJob(spec);
   ASSERT_EQ(cold.status, RunStatus::kDone);
 
@@ -690,6 +695,29 @@ TEST(RunResume, CorruptImageFallsBackToAFreshRun) {
     EXPECT_EQ(r.reach.states, 20.0) << "image " << i;
     ASSERT_FALSE(r.attempts.empty());
     EXPECT_FALSE(r.attempts.front().resumed) << "image " << i;
+  }
+}
+
+TEST(RunResume, TagThatNamesNoBddEngineMeansAFreshRun) {
+  // The images Resume.TagThatNamesNoBddEngineThrowsIoError rejects, as a
+  // bfv job's resume image: each one means a fresh run.
+  JobSpec spec;
+  spec.circuit = "gen:counter:5:20";
+  for (const char* tag : {"lz", "tr-mono", "warp", ""}) {
+    {
+      Manager m(0);
+      const circuit::Netlist n = resolveCircuit(spec.circuit);
+      sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
+      io::Checkpoint c = initialChiCheckpoint(s);
+      c.engine = tag;
+      spec.resume_image =
+          std::make_shared<std::vector<std::uint8_t>>(io::encode(c));
+    }
+    const JobResult r = executeJob(spec);
+    EXPECT_EQ(r.status, RunStatus::kDone) << "'" << tag << "': " << r.message;
+    EXPECT_EQ(r.reach.states, 20.0) << "'" << tag << "'";
+    ASSERT_FALSE(r.attempts.empty());
+    EXPECT_FALSE(r.attempts.front().resumed) << "'" << tag << "'";
   }
 }
 
@@ -830,7 +858,7 @@ TEST(RunResume, ImageSeedsTheJobsOwnEngine) {
   // sets as a fresh tr-mono run.
   JobSpec mono;
   mono.circuit = "gen:arbiter:12";
-  mono.engine = EngineKind::kTrMono;
+  mono.engine = Engine::kTrMono;
   const JobResult fresh = executeJob(mono);
   ASSERT_EQ(fresh.status, RunStatus::kDone);
   std::size_t cube_nodes = 0;
@@ -886,22 +914,28 @@ TEST(RunPool, WarmPoolCountsHitsAcrossJobs) {
 }
 
 TEST(RunEngineKind, RoundTripsAllTags) {
-  for (const EngineKind e : allEngineKinds()) {
-    EXPECT_EQ(parseEngineKind(to_string(e)), e);
+  // The table lists every engine once, in enum order.
+  ASSERT_EQ(std::size(reach::kEngines),
+            static_cast<std::size_t>(Engine::kLz) + 1);
+  for (std::size_t i = 0; i < std::size(reach::kEngines); ++i) {
+    const reach::EngineInfo& e = reach::kEngines[i];
+    EXPECT_EQ(static_cast<std::size_t>(e.engine), i);
+    EXPECT_EQ(parseEngine(e.tag), e.engine);
   }
-  EXPECT_THROW(parseEngineKind("warp"), std::invalid_argument);
+  EXPECT_THROW(parseEngine("warp"), std::invalid_argument);
+  EXPECT_THROW(parseEngine("trmono"), std::invalid_argument);
 }
 
 TEST(RunEngineKind, UnknownEngineErrorNamesTheKnownOnes) {
   try {
-    (void)parseEngineKind("frob");
+    (void)parseEngine("frob");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("frob"), std::string::npos) << msg;
-    for (const EngineKind k : allEngineKinds()) {
-      EXPECT_NE(msg.find(to_string(k)), std::string::npos)
-          << "missing " << to_string(k) << " in: " << msg;
+    for (const reach::EngineInfo& k : reach::kEngines) {
+      EXPECT_NE(msg.find(k.tag), std::string::npos)
+          << "missing " << k.tag << " in: " << msg;
     }
   }
 }
@@ -910,7 +944,7 @@ TEST(RunManifest, LzKeysParse) {
   const std::vector<ManifestEntry> entries = parseManifestString(
       "circuit=data/a.bench engine=lz target=q15 lz-merge=8\n");
   ASSERT_EQ(entries.size(), 1U);
-  EXPECT_EQ(entries[0].spec.engine, EngineKind::kLz);
+  EXPECT_EQ(entries[0].spec.engine, Engine::kLz);
   EXPECT_EQ(entries[0].spec.lz_target, "q15");
   EXPECT_EQ(entries[0].spec.lz_merge, 8U);
 }
@@ -918,7 +952,7 @@ TEST(RunManifest, LzKeysParse) {
 TEST(RunJob, LzEngineCompletesAffineCircuit) {
   JobSpec spec;
   spec.circuit = "gen:lfsr-free:8";
-  spec.engine = EngineKind::kLz;
+  spec.engine = Engine::kLz;
   const JobResult r = executeJob(spec);
   EXPECT_EQ(r.status, RunStatus::kDone);
   EXPECT_EQ(r.reach.states, 255.0);
@@ -928,7 +962,7 @@ TEST(RunJob, LzEngineCompletesAffineCircuit) {
 TEST(RunJob, LzEngineReportsInconclusiveOnLossyCircuit) {
   JobSpec spec;
   spec.circuit = "gen:arbiter:4";
-  spec.engine = EngineKind::kLz;
+  spec.engine = Engine::kLz;
   const JobResult r = executeJob(spec);
   EXPECT_EQ(r.status, RunStatus::kInconclusive);
   EXPECT_FALSE(r.message.empty());
@@ -937,7 +971,7 @@ TEST(RunJob, LzEngineReportsInconclusiveOnLossyCircuit) {
 TEST(RunJob, LzEngineTargetPrefilterVerdictInMessage) {
   JobSpec spec;
   spec.circuit = "gen:twinshift:6";  // mismatch output is never asserted
-  spec.engine = EngineKind::kLz;
+  spec.engine = Engine::kLz;
   spec.lz_target = "mismatch";
   const JobResult r = executeJob(spec);
   EXPECT_EQ(r.status, RunStatus::kDone);
@@ -957,8 +991,8 @@ TEST(RunPortfolio, LzWinsAffineRaceAndNeverWinsInconclusive) {
     // winner against the BDD engines.
     JobSpec base;
     base.circuit = "gen:lfsr-free:8";
-    const std::vector<EngineKind> engines{EngineKind::kLz, EngineKind::kTr,
-                                          EngineKind::kBfv};
+    const std::vector<Engine> engines{Engine::kLz, Engine::kTr,
+                                          Engine::kBfv};
     const PortfolioResult race = runPortfolio(pool, base, engines);
     ASSERT_GE(race.winner, 0);
     EXPECT_EQ(race.jobs[static_cast<std::size_t>(race.winner)].status,
@@ -971,11 +1005,11 @@ TEST(RunPortfolio, LzWinsAffineRaceAndNeverWinsInconclusive) {
     // leg must be crowned instead.
     JobSpec base;
     base.circuit = "gen:arbiter:4";
-    const std::vector<EngineKind> engines{EngineKind::kLz, EngineKind::kTr};
+    const std::vector<Engine> engines{Engine::kLz, Engine::kTr};
     const PortfolioResult race = runPortfolio(pool, base, engines);
     ASSERT_GE(race.winner, 0);
     EXPECT_EQ(engines[static_cast<std::size_t>(race.winner)],
-              EngineKind::kTr);
+              Engine::kTr);
     // The lz leg either finished inconclusive before the crowning or was
     // cancelled by it; it is never the done winner.
     EXPECT_NE(race.jobs[0].status, RunStatus::kDone);
