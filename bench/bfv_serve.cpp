@@ -3,11 +3,11 @@
 // bfv_client (or the svc::Client library), submit manifest-format job
 // lines, and stream back iteration progress and final results; the server
 // schedules across tenants with smooth weighted round-robin under
-// per-tenant budgets, reuses warm per-worker managers, and evicts/migrates
-// jobs via checkpoints.
+// per-tenant budgets, keeps each worker's manager warm across jobs
+// (reset-not-destroy), and evicts/migrates jobs via checkpoints.
 //
 //   bfv_serve [--listen SPEC] [--workers N] [--tenants FILE] [--spool DIR]
-//             [--checkpoint-every K] [--no-warm] [--no-stream]
+//             [--checkpoint-every K] [--no-stream]
 //             [--report[=path]] [--name TAG] [--metrics-every S]
 //             [--metrics-dir DIR] [--flight[=DIR]] [--log-level LEVEL]
 //             [--journal DIR] [--fsync POLICY] [--no-compact]
@@ -22,7 +22,6 @@
 //   --spool DIR          directory for eviction checkpoints (default .)
 //   --checkpoint-every K snapshot cadence imposed on jobs for evictability
 //                        (default 1; 0 = only jobs that opt in)
-//   --no-warm            fresh manager per job (disable reset-not-destroy)
 //   --no-stream          do not stream per-iteration updates
 //   --report[=path]      write SVC_<name>.json at shutdown
 //   --name TAG           server tag (default bfv_serve)
@@ -92,8 +91,6 @@ Args parseArgs(int argc, char** argv) {
         a.opts.spool_dir = value("--spool");
       } else if (arg == "--checkpoint-every") {
         a.opts.checkpoint_every = run::parseU32(value("--checkpoint-every"));
-      } else if (arg == "--no-warm") {
-        a.opts.warm_managers = false;
       } else if (arg == "--no-stream") {
         a.opts.stream_iterations = false;
       } else if (arg == "--report") {
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--listen unix:PATH|tcp:HOST:PORT] [--workers N] "
                  "[--tenants FILE] [--spool DIR] [--checkpoint-every K] "
-                 "[--no-warm] [--no-stream] [--report[=path]] [--name TAG] "
+                 "[--no-stream] [--report[=path]] [--name TAG] "
                  "[--metrics-every S] [--metrics-dir DIR] [--flight[=DIR]] "
                  "[--log-level error|info|debug] [--journal DIR] "
                  "[--fsync never|batch|always] [--no-compact] "

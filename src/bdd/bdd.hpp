@@ -362,11 +362,10 @@ class Manager {
     /// reclaims too little.
     std::size_t gc_threshold = 1U << 16;
     /// Automatic dynamic reordering: when true, maybeGc() (the engines'
-    /// documented safe point) runs `reorder_method` whenever the in-use
-    /// node count crosses a threshold that starts at `reorder_threshold`
-    /// and moves to twice the table size after each run.
+    /// documented safe point) sifts (reorder()) whenever the in-use node
+    /// count crosses a threshold that starts at `reorder_threshold` and
+    /// moves to twice the table size after each run.
     bool auto_reorder = false;
-    ReorderMethod reorder_method = ReorderMethod::kSift;
     std::size_t reorder_threshold = 1U << 13;
     /// Memory-pressure governor: a degradation ladder run when the node
     /// budget trips inside a public operation, instead of letting
@@ -384,8 +383,8 @@ class Manager {
       bool shrink_cache = true;
       /// Cache shrink halves cache_bits per rung but never below this.
       unsigned min_cache_bits = 12;
-      /// Emergency reorder uses Config::reorder_method; an OrderHold skips
-      /// the rung.
+      /// The emergency reorder sifts (reorder()); an OrderHold skips the
+      /// rung.
       bool emergency_reorder = true;
     };
     PressureLadder pressure_ladder;
@@ -455,12 +454,12 @@ class Manager {
   Bdd permute(const Bdd& f, std::span<const unsigned> perm);
 
   // ---- dynamic variable reordering (reorder.cpp) ---------------------------
-  /// Reorder now with the configured (or given) method. Safe at the same
-  /// points as gc(): between operations, never during one. Live handles
-  /// keep their functions and their raw edge values; only levels (and hence
+  /// Reorder now: sift, or run the given method. Safe at the same points
+  /// as gc(): between operations, never during one. Live handles keep
+  /// their functions and their raw edge values; only levels (and hence
   /// topVar() results and node counts) change. Does nothing while an
   /// OrderHold is alive.
-  void reorder() { reorder(cfg_.reorder_method); }
+  void reorder() { reorder(ReorderMethod::kSift); }
   void reorder(ReorderMethod method);
   /// Holds the variable order for its lifetime: reorder() does nothing, so
   /// step, automatic (Config::auto_reorder) and emergency (the pressure

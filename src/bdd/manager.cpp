@@ -419,7 +419,7 @@ bool Manager::relieve(unsigned rung) {
       break;
     }
     case PressureRung::kReorder:
-      reorder(cfg_.reorder_method);
+      reorder();
       break;
   }
   emitEvent(ManagerEvent::Kind::kPressure, before, in_use_, timer.seconds(),
@@ -599,7 +599,7 @@ void Manager::maybeGc() {
   auto_event_ = true;
   if (cfg_.auto_reorder && !reordering_ && order_holds_ == 0 &&
       in_use_ >= next_reorder_at_) {
-    reorder(cfg_.reorder_method);
+    reorder();
     auto_event_ = false;
     return;
   }

@@ -1,8 +1,10 @@
 // The one byte codec under every binary format of the repository: the
 // service's wire frames (svc/wire.hpp), its job journal (svc/journal.hpp)
 // and the reachability checkpoints (io/checkpoint.hpp). It holds the
-// CRC-32, the little-endian Writer/Reader and the 16-byte record header
-// that wire frames and journal records share.
+// CRC-32, the little-endian Writer/Reader, the field walker that encodes
+// and decodes a record from its one field list (the wire messages and the
+// journal record), and the 16-byte record header that wire frames and
+// journal records share.
 //
 // Rules every format built on it keeps:
 //   - integers are little-endian, doubles travel as their IEEE-754 bits,
@@ -18,6 +20,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace bfvr::io {
@@ -95,11 +98,12 @@ class Reader {
   void done() const {
     if (left() != 0) fail("trailing bytes in payload");
   }
-
- private:
+  /// Throw the format's error: "<kFormat>: <what>".
   [[noreturn]] static void fail(const std::string& what) {
     throw Error(std::string(Error::kFormat) + ": " + what);
   }
+
+ private:
   void need(std::size_t k) const {
     if (left() < k) fail("truncated payload");
   }
@@ -116,6 +120,59 @@ class Reader {
   std::size_t n_;
   std::size_t pos_ = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Field walker. A record names its payload fields once, in their byte
+// order:
+//
+//   static auto fields(auto& m) { return std::tie(m.a, m.b, ...); }
+//
+// and writeFields / readFields walk that one list both ways. Each field's
+// type picks its encoding: std::uint8_t and bool one byte each (a bool
+// byte above 1 is the format's error), std::uint32_t, std::uint64_t,
+// double and std::string as the Writer writes them. A field of any other
+// type does not compile.
+// ---------------------------------------------------------------------------
+
+template <class T>
+void put(Writer& w, const T& v) = delete;
+inline void put(Writer& w, std::uint8_t v) { w.u8(v); }
+inline void put(Writer& w, bool v) { w.u8(v ? 1 : 0); }
+inline void put(Writer& w, std::uint32_t v) { w.u32(v); }
+inline void put(Writer& w, std::uint64_t v) { w.u64(v); }
+inline void put(Writer& w, double v) { w.f64(v); }
+inline void put(Writer& w, const std::string& v) { w.str(v); }
+
+template <class E>
+void get(Reader<E>& r, std::uint8_t& v) { v = r.u8(); }
+template <class E>
+void get(Reader<E>& r, bool& v) {
+  const std::uint8_t b = r.u8();
+  if (b > 1) r.fail("boolean field out of range");
+  v = b != 0;
+}
+template <class E>
+void get(Reader<E>& r, std::uint32_t& v) { v = r.u32(); }
+template <class E>
+void get(Reader<E>& r, std::uint64_t& v) { v = r.u64(); }
+template <class E>
+void get(Reader<E>& r, double& v) { v = r.f64(); }
+template <class E>
+void get(Reader<E>& r, std::string& v) { v = r.str(); }
+
+/// Append `m`'s fields in list order.
+template <class Rec>
+void writeFields(Writer& w, const Rec& m) {
+  std::apply([&w](const auto&... f) { (put(w, f), ...); }, Rec::fields(m));
+}
+
+/// Read `m`'s fields in list order; the payload must end with the last
+/// one (Reader::done).
+template <class Rec, class E>
+void readFields(Reader<E>& r, Rec& m) {
+  std::apply([&r](auto&... f) { (get(r, f), ...); }, Rec::fields(m));
+  r.done();
+}
 
 // ---------------------------------------------------------------------------
 // Record header of wire frames and journal records (all integers

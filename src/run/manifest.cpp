@@ -1,6 +1,7 @@
 #include "run/manifest.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -34,6 +35,10 @@ double parseF64(const std::string& s) {
   }
   if (pos == 0 || pos != s.size()) {
     throw std::invalid_argument("expected a number, got '" + s + "'");
+  }
+  if (!std::isfinite(v) || v < 0.0) {
+    throw std::invalid_argument("expected a finite number >= 0, got '" + s +
+                                "'");
   }
   return v;
 }

@@ -60,7 +60,9 @@ struct ManifestEntry {
 
 /// The manifest's value parsers, shared with the CLIs' flags. Each takes
 /// the whole token or throws std::invalid_argument saying what was wrong:
-/// a count is digits only (no sign, no blanks, no trailing junk).
+/// a count is digits only (no sign, no blanks, no trailing junk), and a
+/// parseF64 value (a duration, a backoff or a growth factor) is finite
+/// and >= 0 (no NaN, no inf, no sign that makes it negative).
 std::uint64_t parseU64(const std::string& s);
 unsigned parseU32(const std::string& s);
 double parseF64(const std::string& s);

@@ -1,64 +1,65 @@
 #include "svc/client.hpp"
 
+#include <type_traits>
+
 namespace bfvr::svc {
+
+namespace {
+
+/// `f` decoded as the Event alternative whose kType it carries; a frame
+/// type no alternative carries is an error.
+template <class... M>
+Event decodeEvent(const Frame& f, std::type_identity<std::variant<M...>>) {
+  std::optional<Event> ev;
+  if (!((f.type == M::kType && (ev.emplace(decode<M>(f)), true)) || ...)) {
+    throw Error(std::string("client: unexpected ") + to_string(f.type) +
+                " frame from server");
+  }
+  return *std::move(ev);
+}
+
+}  // namespace
 
 Client::Client(const std::string& endpoint_spec, const std::string& tenant)
     : fd_(connectTo(Endpoint::parse(endpoint_spec))) {
-  Hello hello;
-  hello.tenant = tenant;
-  sendFrame(fd_, hello.encode());
+  sendFrame(fd_, encode(Hello{tenant}));
   std::optional<Frame> reply = recvFrame(fd_);
   if (!reply.has_value()) {
     throw Error("client: server closed the connection during handshake");
   }
-  if (reply->type == FrameType::kError) {
+  if (reply->type == WireError::kType) {
     throw Error("client: handshake rejected: " +
-                WireError::decode(*reply).message);
+                decode<WireError>(*reply).message);
   }
-  const HelloAck ack = HelloAck::decode(*reply);
+  const HelloAck ack = decode<HelloAck>(*reply);
   session_ = ack.session;
   server_ = ack.server;
 }
 
 std::uint64_t Client::submit(const std::string& manifest_line,
                              const std::string& idem) {
-  Submit s;
-  s.tag = next_tag_++;
-  s.line = manifest_line;
-  s.idem = idem;
-  sendFrame(fd_, s.encode());
-  return s.tag;
+  const std::uint64_t tag = next_tag_++;
+  sendFrame(fd_, encode(Submit{tag, manifest_line, idem}));
+  return tag;
 }
 
-void Client::cancel(std::uint64_t job) {
-  Cancel c;
-  c.job = job;
-  sendFrame(fd_, c.encode());
-}
+void Client::cancel(std::uint64_t job) { sendFrame(fd_, encode(Cancel{job})); }
 
-void Client::evict(std::uint64_t job) {
-  Evict e;
-  e.job = job;
-  sendFrame(fd_, e.encode());
-}
+void Client::evict(std::uint64_t job) { sendFrame(fd_, encode(Evict{job})); }
 
 void Client::queryStats(std::uint32_t flags) {
-  StatsQuery q;
-  q.flags = flags;
-  sendFrame(fd_, q.encode());
+  sendFrame(fd_, encode(StatsQuery{flags}));
 }
 
 void Client::shutdownServer(bool drain) {
-  Shutdown s;
-  s.drain = drain;
-  sendFrame(fd_, s.encode());
+  sendFrame(fd_, encode(Shutdown{drain}));
 }
 
 void Client::bye() {
   // Best-effort courtesy frame: after a shutdown request the server may
   // close the connection before the Bye lands, and that is not an error.
   try {
-    sendFrame(fd_, Bye{}.encode());
+    sendFrame(fd_, encode(Bye{}));
   } catch (const Error&) {
   }
 }
@@ -70,27 +71,7 @@ std::optional<Event> Client::next(double timeout_seconds) {
   dl.idle_seconds = timeout_seconds;
   std::optional<Frame> f = recvFrame(fd_, dl);
   if (!f.has_value()) return std::nullopt;
-  switch (f->type) {
-    case FrameType::kAccepted:
-      return Event(Accepted::decode(*f));
-    case FrameType::kRejected:
-      return Event(Rejected::decode(*f));
-    case FrameType::kJobStarted:
-      return Event(JobStarted::decode(*f));
-    case FrameType::kIteration:
-      return Event(IterationUpdate::decode(*f));
-    case FrameType::kJobEvicted:
-      return Event(JobEvicted::decode(*f));
-    case FrameType::kJobDone:
-      return Event(JobDone::decode(*f));
-    case FrameType::kStatsReply:
-      return Event(StatsReply::decode(*f));
-    case FrameType::kError:
-      return Event(WireError::decode(*f));
-    default:
-      throw Error(std::string("client: unexpected ") + to_string(f->type) +
-                  " frame from server");
-  }
+  return decodeEvent(*f, std::type_identity<Event>{});
 }
 
 std::optional<std::uint64_t> Client::awaitAdmission(std::uint64_t tag,

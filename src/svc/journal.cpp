@@ -86,15 +86,7 @@ const char* to_string(JournalEvent e) noexcept {
 
 std::vector<std::uint8_t> Journal::encodeRecord(const JournalRecord& rec) {
   Writer w;
-  w.u64(rec.job);
-  w.str(rec.tenant);
-  w.str(rec.idem);
-  w.str(rec.line);
-  w.u64(rec.iteration);
-  w.str(rec.status);
-  w.str(rec.message);
-  w.f64(rec.states);
-  w.f64(rec.seconds);
+  io::writeFields(w, rec);
   if (w.buf.size() > kMaxFramePayload) {
     throw Error("journal: record payload too large");
   }
@@ -121,16 +113,7 @@ std::size_t Journal::decodeRecord(const std::uint8_t* p, std::size_t n,
     Reader r(payload, h.length);
     JournalRecord rec;
     rec.event = static_cast<JournalEvent>(h.type);
-    rec.job = r.u64();
-    rec.tenant = r.str();
-    rec.idem = r.str();
-    rec.line = r.str();
-    rec.iteration = r.u64();
-    rec.status = r.str();
-    rec.message = r.str();
-    rec.states = r.f64();
-    rec.seconds = r.f64();
-    r.done();
+    io::readFields(r, rec);
     if (out != nullptr) *out = std::move(rec);
   } catch (const Error&) {
     return 0;  // CRC-valid but structurally wrong: treat as end of log

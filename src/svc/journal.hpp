@@ -15,9 +15,9 @@
 //   6      2     reserved, must be 0
 //   8      4     payload byte count (<= wire kMaxFramePayload)
 //   12     4     CRC-32 (IEEE 802.3) of the payload bytes
-//   16     ...   payload (the codec's Writer field encoding, fixed order;
-//                its Reader checks each string length against the bytes
-//                left)
+//   16     ...   payload: JournalRecord::fields() in list order, written
+//                and read by the codec's field walker (its Reader checks
+//                each string length against the bytes left)
 //
 // Recovery contract: on open the whole file is scanned record by record;
 // the first malformed point — bad magic, unknown version/event, nonzero
@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "svc/wire.hpp"
@@ -68,9 +69,10 @@ FsyncPolicy parseFsyncPolicy(const std::string& s);
 const char* to_string(FsyncPolicy p) noexcept;
 const char* to_string(JournalEvent e) noexcept;
 
-/// One journal record. Every field is encoded for every event (the codec
-/// stays trivially self-describing); fields an event does not use are
-/// written as their zero values.
+/// One journal record. The event travels as the header's type byte; the
+/// payload is fields() in list order, every field for every event (the
+/// codec stays trivially self-describing), and fields an event does not
+/// use are written as their zero values.
 struct JournalRecord {
   JournalEvent event = JournalEvent::kAccepted;
   std::uint64_t job = 0;
@@ -82,6 +84,10 @@ struct JournalRecord {
   std::string message;         ///< kDone: failure reason
   double states = 0.0;         ///< kDone
   double seconds = 0.0;        ///< kDone: execution wall-clock
+  static auto fields(auto& r) {
+    return std::tie(r.job, r.tenant, r.idem, r.line, r.iteration, r.status,
+                    r.message, r.states, r.seconds);
+  }
 };
 
 /// Counters the server folds into JOURNAL_<name>.json and the metrics

@@ -2,281 +2,17 @@
 
 namespace bfvr::svc {
 
-namespace {
-
-/// Decode preamble shared by every message: check the frame type, hand back
-/// a bounds-checked reader over the payload.
-Reader open(const Frame& f, FrameType want) {
+void checkFrameType(const Frame& f, FrameType want) {
   if (f.type != want) {
     throw Error(std::string("protocol: expected ") + to_string(want) +
                 " frame, got " + to_string(f.type));
   }
-  return Reader(f.payload);
 }
 
-bool readBool(Reader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > 1) throw Error("protocol: boolean field out of range");
-  return v != 0;
-}
-
-}  // namespace
-
-Frame Hello::encode() const {
-  Writer w;
-  w.str(tenant);
-  w.u8(proto);
-  return {FrameType::kHello, std::move(w.buf)};
-}
-Hello Hello::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kHello);
-  Hello m;
-  m.tenant = r.str();
-  m.proto = r.u8();
-  r.done();
-  return m;
-}
-
-Frame HelloAck::encode() const {
-  Writer w;
-  w.u64(session);
-  w.str(server);
-  return {FrameType::kHelloAck, std::move(w.buf)};
-}
-HelloAck HelloAck::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kHelloAck);
-  HelloAck m;
-  m.session = r.u64();
-  m.server = r.str();
-  r.done();
-  return m;
-}
-
-Frame Submit::encode() const {
-  Writer w;
-  w.u64(tag);
-  w.str(line);
-  w.str(idem);
-  return {FrameType::kSubmit, std::move(w.buf)};
-}
-Submit Submit::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kSubmit);
-  Submit m;
-  m.tag = r.u64();
-  m.line = r.str();
-  m.idem = r.str();
-  r.done();
-  return m;
-}
-
-Frame Accepted::encode() const {
-  Writer w;
-  w.u64(tag);
-  w.u64(job);
-  w.u64(trace);
-  return {FrameType::kAccepted, std::move(w.buf)};
-}
-Accepted Accepted::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kAccepted);
-  Accepted m;
-  m.tag = r.u64();
-  m.job = r.u64();
-  m.trace = r.u64();
-  r.done();
-  return m;
-}
-
-Frame Rejected::encode() const {
-  Writer w;
-  w.u64(tag);
-  w.str(reason);
-  return {FrameType::kRejected, std::move(w.buf)};
-}
-Rejected Rejected::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kRejected);
-  Rejected m;
-  m.tag = r.u64();
-  m.reason = r.str();
-  r.done();
-  return m;
-}
-
-Frame JobStarted::encode() const {
-  Writer w;
-  w.u64(job);
-  w.u8(resumed ? 1 : 0);
-  return {FrameType::kJobStarted, std::move(w.buf)};
-}
-JobStarted JobStarted::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kJobStarted);
-  JobStarted m;
-  m.job = r.u64();
-  m.resumed = readBool(r);
-  r.done();
-  return m;
-}
-
-Frame IterationUpdate::encode() const {
-  Writer w;
-  w.u64(job);
-  w.u64(iteration);
-  w.u64(frontier_nodes);
-  w.u64(live_nodes);
-  w.u64(peak_nodes);
-  w.f64(frontier_states);
-  return {FrameType::kIteration, std::move(w.buf)};
-}
-IterationUpdate IterationUpdate::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kIteration);
-  IterationUpdate m;
-  m.job = r.u64();
-  m.iteration = r.u64();
-  m.frontier_nodes = r.u64();
-  m.live_nodes = r.u64();
-  m.peak_nodes = r.u64();
-  m.frontier_states = r.f64();
-  r.done();
-  return m;
-}
-
-Frame JobEvicted::encode() const {
-  Writer w;
-  w.u64(job);
-  w.u64(iteration);
-  w.u32(worker);
-  return {FrameType::kJobEvicted, std::move(w.buf)};
-}
-JobEvicted JobEvicted::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kJobEvicted);
-  JobEvicted m;
-  m.job = r.u64();
-  m.iteration = r.u64();
-  m.worker = r.u32();
-  r.done();
-  return m;
-}
-
-Frame JobDone::encode() const {
-  Writer w;
-  w.u64(job);
-  w.str(status);
-  w.str(message);
-  w.f64(seconds);
-  w.f64(queue_seconds);
-  w.u32(worker);
-  w.u64(iterations);
-  w.f64(states);
-  w.u64(peak_live_nodes);
-  w.u32(attempts);
-  w.u32(evictions);
-  w.u8(resumed ? 1 : 0);
-  return {FrameType::kJobDone, std::move(w.buf)};
-}
-JobDone JobDone::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kJobDone);
-  JobDone m;
-  m.job = r.u64();
-  m.status = r.str();
-  m.message = r.str();
-  m.seconds = r.f64();
-  m.queue_seconds = r.f64();
-  m.worker = r.u32();
-  m.iterations = r.u64();
-  m.states = r.f64();
-  m.peak_live_nodes = r.u64();
-  m.attempts = r.u32();
-  m.evictions = r.u32();
-  m.resumed = readBool(r);
-  r.done();
-  return m;
-}
-
-Frame Cancel::encode() const {
-  Writer w;
-  w.u64(job);
-  return {FrameType::kCancel, std::move(w.buf)};
-}
-Cancel Cancel::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kCancel);
-  Cancel m;
-  m.job = r.u64();
-  r.done();
-  return m;
-}
-
-Frame Evict::encode() const {
-  Writer w;
-  w.u64(job);
-  return {FrameType::kEvict, std::move(w.buf)};
-}
-Evict Evict::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kEvict);
-  Evict m;
-  m.job = r.u64();
-  r.done();
-  return m;
-}
-
-Frame StatsQuery::encode() const {
-  Writer w;
-  w.u32(flags);
-  return {FrameType::kStats, std::move(w.buf)};
-}
-StatsQuery StatsQuery::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kStats);
-  StatsQuery m;
-  m.flags = r.u32();
-  if ((m.flags & ~kAllSections) != 0) {
+void StatsQuery::check() const {
+  if ((flags & ~kAllSections) != 0) {
     throw Error("protocol: unknown stats section flags");
   }
-  r.done();
-  return m;
-}
-
-Frame StatsReply::encode() const {
-  Writer w;
-  w.str(json);
-  return {FrameType::kStatsReply, std::move(w.buf)};
-}
-StatsReply StatsReply::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kStatsReply);
-  StatsReply m;
-  m.json = r.str();
-  r.done();
-  return m;
-}
-
-Frame Shutdown::encode() const {
-  Writer w;
-  w.u8(drain ? 1 : 0);
-  return {FrameType::kShutdown, std::move(w.buf)};
-}
-Shutdown Shutdown::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kShutdown);
-  Shutdown m;
-  m.drain = readBool(r);
-  r.done();
-  return m;
-}
-
-Frame Bye::encode() const { return {FrameType::kBye, {}}; }
-Bye Bye::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kBye);
-  r.done();
-  return {};
-}
-
-Frame WireError::encode() const {
-  Writer w;
-  w.str(message);
-  return {FrameType::kError, std::move(w.buf)};
-}
-WireError WireError::decode(const Frame& f) {
-  Reader r = open(f, FrameType::kError);
-  WireError m;
-  m.message = r.str();
-  r.done();
-  return m;
 }
 
 }  // namespace bfvr::svc

@@ -81,7 +81,7 @@ Server::Server(const Options& opts)
       queue_(opts.tenants),
       table_(!opts.journal_dir.empty()),
       flight_(kFlightCapacity),
-      pool_(opts.workers, opts.warm_managers) {
+      pool_(opts.workers, /*warm_managers=*/true) {
   // Configured tenants report from the start, idle or not.
   for (const TenantConfig& t : opts.tenants) statsFor(t.name);
   if (!opts_.journal_dir.empty()) {
@@ -220,7 +220,7 @@ void Server::sessionLoop(std::shared_ptr<Session> s) {
     if (opts_.send_timeout > 0.0) setSendTimeout(s->fd, opts_.send_timeout);
     std::optional<Frame> first = recvFrame(s->fd, deadlines);
     if (!first.has_value()) throw Error("session: closed before hello");
-    const Hello hello = Hello::decode(*first);
+    const Hello hello = decode<Hello>(*first);
     if (hello.proto != kWireVersion) {
       throw Error("session: client protocol version " +
                   std::to_string(hello.proto) + " (server speaks " +
@@ -228,10 +228,7 @@ void Server::sessionLoop(std::shared_ptr<Session> s) {
     }
     if (hello.tenant.empty()) throw Error("session: empty tenant name");
     s->tenant = hello.tenant;
-    HelloAck ack;
-    ack.session = s->id;
-    ack.server = opts_.name;
-    sendTo(s, ack.encode());
+    sendTo(s, encode(HelloAck{s->id, opts_.name}));
     obs::logLine(obs::LogLevel::kDebug, "svc",
                  "session " + std::to_string(s->id) + " opened", s->tenant);
     while (s->alive.load(std::memory_order_relaxed)) {
@@ -263,9 +260,7 @@ void Server::sessionLoop(std::shared_ptr<Session> s) {
       flight_.record(obs::FlightSeverity::kError, "wire", e.what(),
                      s->tenant);
     }
-    WireError err;
-    err.message = e.what();
-    sendTo(s, err.encode());
+    sendTo(s, encode(WireError{e.what()}));
   } catch (const Error& e) {
     // Malformed traffic (bad magic/CRC/truncation) or version skew: tell
     // the client why, if the pipe still works, then drop the session. The
@@ -275,9 +270,7 @@ void Server::sessionLoop(std::shared_ptr<Session> s) {
                  s->tenant);
     flight_.record(obs::FlightSeverity::kError, "wire", e.what(), s->tenant);
     obs::Registry::global().counter("bfvr_svc_session_errors_total").inc();
-    WireError err;
-    err.message = e.what();
-    sendTo(s, err.encode());
+    sendTo(s, encode(WireError{e.what()}));
   }
   // Session teardown. Without a journal: retire its queued jobs as
   // cancelled and cancel its running ones — results with no one to read
@@ -310,7 +303,7 @@ bool Server::handleFrame(const std::shared_ptr<Session>& s, const Frame& f) {
       handleSubmit(s, f);
       return true;
     case FrameType::kCancel: {
-      const Cancel c = Cancel::decode(f);
+      const Cancel c = decode<Cancel>(f);
       const std::lock_guard<std::mutex> lock(mu_);
       if (auto it = running_.find(c.job); it != running_.end()) {
         it->second.cancel->cancel();
@@ -324,7 +317,7 @@ bool Server::handleFrame(const std::shared_ptr<Session>& s, const Frame& f) {
       return true;
     }
     case FrameType::kEvict: {
-      const Evict e = Evict::decode(f);
+      const Evict e = decode<Evict>(f);
       const std::lock_guard<std::mutex> lock(mu_);
       if (auto it = running_.find(e.job); it != running_.end()) {
         it->second.evict_requested = true;
@@ -333,14 +326,12 @@ bool Server::handleFrame(const std::shared_ptr<Session>& s, const Frame& f) {
       return true;
     }
     case FrameType::kStats: {
-      const StatsQuery q = StatsQuery::decode(f);
-      StatsReply reply;
-      reply.json = statsJson(q.flags);
-      sendTo(s, reply.encode());
+      const StatsQuery q = decode<StatsQuery>(f);
+      sendTo(s, encode(StatsReply{statsJson(q.flags)}));
       return true;
     }
     case FrameType::kShutdown: {
-      const Shutdown sd = Shutdown::decode(f);
+      const Shutdown sd = decode<Shutdown>(f);
       requestShutdown(sd.drain);
       return true;
     }
@@ -353,7 +344,7 @@ bool Server::handleFrame(const std::shared_ptr<Session>& s, const Frame& f) {
 }
 
 void Server::handleSubmit(const std::shared_ptr<Session>& s, const Frame& f) {
-  const Submit sub = Submit::decode(f);
+  const Submit sub = decode<Submit>(f);
   const std::lock_guard<std::mutex> lock(mu_);
   // Accepted carries the span's trace id while the span is retained.
   const auto accept = [&](std::uint64_t id) {
@@ -363,7 +354,7 @@ void Server::handleSubmit(const std::shared_ptr<Session>& s, const Frame& f) {
     if (auto it = spans_.find(id); it != spans_.end()) {
       acc.trace = it->second.trace_id;
     }
-    sendTo(s, acc.encode());
+    sendTo(s, encode(acc));
   };
   statsFor(s->tenant).submitted += 1;
   tenantCounter("bfvr_svc_submissions_total", s->tenant).inc();
@@ -387,7 +378,7 @@ void Server::handleSubmit(const std::shared_ptr<Session>& s, const Frame& f) {
       }
       accept(id);
       if (known->done.has_value()) {
-        sendTo(s, doneFrame(*known->done).encode());
+        sendTo(s, encode(doneFrame(*known->done)));
       }
       return;
     }
@@ -406,10 +397,7 @@ void Server::handleSubmit(const std::shared_ptr<Session>& s, const Frame& f) {
     tenantCounter("bfvr_svc_rejected_total", s->tenant).inc();
     flight_.record(obs::FlightSeverity::kWarn, "admission",
                    "rejected: " + *refused, s->tenant);
-    Rejected rej;
-    rej.tag = sub.tag;
-    rej.reason = *refused;
-    sendTo(s, rej.encode());
+    sendTo(s, encode(Rejected{sub.tag, *refused}));
     return;
   }
   accept(accepted.job);
@@ -558,7 +546,7 @@ void Server::finishLocked(RunStatus status, JobDone done,
   if (!spool.empty() && spool.rfind(opts_.spool_dir, 0) == 0) {
     std::remove(spool.c_str());
   }
-  sendTo(sessionById(owner), done.encode());
+  sendTo(sessionById(owner), encode(done));
 }
 
 void Server::cancelQueuedLocked(const QueuedJob& job, const char* why,
@@ -651,7 +639,7 @@ void Server::pump() {
         u.live_nodes = it.live_nodes;
         u.peak_nodes = it.peak_nodes;
         u.frontier_states = it.frontier_states;
-        if (!sendIfWritable(owner, u.encode())) dropped->inc();
+        if (!sendIfWritable(owner, encode(u))) dropped->inc();
       };
     }
     if (journal_ != nullptr) {
@@ -686,10 +674,7 @@ void Server::pump() {
     pool_.submit(
         std::move(spec), cancel,
         [this, id](const run::JobResult& res) { onJobDone(id, res); }, avoid);
-    JobStarted started;
-    started.job = id;
-    started.resumed = resumed;
-    sendTo(sessionById(session_id), started.encode());
+    sendTo(sessionById(session_id), encode(JobStarted{id, resumed}));
   }
 }
 
@@ -776,11 +761,8 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
       obs::logLine(obs::LogLevel::kInfo, "svc",
                    "evicted from worker " + std::to_string(r.worker),
                    again.tenant, id);
-      JobEvicted ev;
-      ev.job = id;
-      ev.iteration = r.reach.iterations;
-      ev.worker = r.worker;
-      sendTo(sessionById(again.session), ev.encode());
+      sendTo(sessionById(again.session),
+             encode(JobEvicted{id, r.reach.iterations, r.worker}));
       queue_.requeueFront(std::move(again));
     } else {
       if (r.status == RunStatus::kError && dump_reason.empty()) {

@@ -54,9 +54,9 @@ class Server {
   struct Options {
     /// "unix:/path/to.sock" or "tcp:host:port".
     std::string endpoint = "unix:bfv_serve.sock";
+    /// Worker threads; each keeps its manager warm across jobs
+    /// (reset-not-destroy, run::ManagerCache).
     unsigned workers = 4;
-    /// Reuse each worker's manager across jobs (reset-not-destroy).
-    bool warm_managers = true;
     /// Tenant policies; unknown tenants get a default (weight-1) config.
     std::vector<TenantConfig> tenants;
     /// Directory for per-job eviction spool checkpoints.

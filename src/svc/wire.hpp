@@ -20,9 +20,10 @@
 // svc::Error, never undefined behaviour and never a crash: the payload
 // reader is the codec's bounds-checked cursor, which checks every length
 // and count against the bytes left before anything is sized by it. Frame
-// payloads are typed per FrameType (see protocol.hpp); a frame is
-// self-described by its (version, type) pair plus the explicit field
-// encodings, so either end can skip or reject frames it does not know.
+// payloads are typed per FrameType (see protocol.hpp): each message's one
+// field list, walked by the codec's field walker both ways. A frame is
+// self-described by its (version, type) pair plus that list, so either
+// end can skip or reject frames it does not know.
 #pragma once
 
 #include <cstdint>

@@ -363,12 +363,17 @@ TEST(RunManifest, ErrorsNameTheOffendingKey) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("key 'deadline'"), std::string::npos) << msg;
   }
-  // Unknown keys, threads= among them (the BDD kernel has no thread setting).
-  const std::pair<const char*, const char*> unknown[] = {
+  // Unknown keys, threads= among them (the BDD kernel has no thread
+  // setting), and durations that are not finite and >= 0, which would
+  // otherwise silently mean "none".
+  const std::pair<const char*, const char*> bad[] = {
       {"frobnicate=1", "unknown key 'frobnicate'"},
       {"threads=4", "unknown key 'threads'"},
+      {"deadline=-1", "key 'deadline'"},
+      {"seconds=nan", "key 'seconds'"},
+      {"backoff=inf", "key 'backoff'"},
   };
-  for (const auto& [token, want] : unknown) {
+  for (const auto& [token, want] : bad) {
     try {
       parseManifestString(std::string("circuit=a.bench ") + token + "\n");
       FAIL() << "expected a parse error for " << token;

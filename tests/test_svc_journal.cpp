@@ -70,7 +70,6 @@ Server::Options baseOptions(const std::string& sock) {
   Server::Options o;
   o.endpoint = "unix:" + sock;
   o.workers = 2;
-  o.warm_managers = true;
   o.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
   o.spool_dir = test::processDir();
   o.checkpoint_every = 1;
@@ -294,12 +293,9 @@ TEST(SvcJournal, CompactionRewritesAtomically) {
   EXPECT_EQ(j.replayed()[2].job, 4u);
 }
 
-TEST(GoldenBytes, OneJournalRecordPerEvent) {
-  // One record of every JournalEvent, as its on-disk bytes: the 16-byte
-  // header (magic "BFVJ", version, event, two reserved bytes, payload
-  // length, payload CRC-32) and then every field in its fixed order. Each
-  // golden string decodes back to the record, which encodes to the same
-  // bytes.
+/// One record of every JournalEvent, in event order, with its committed
+/// bytes.
+std::vector<std::pair<JournalRecord, const char*>> goldenRecords() {
   JournalRecord accepted = acceptedRec(1, "key-1");
   JournalRecord dispatched;
   dispatched.event = JournalEvent::kDispatched;
@@ -310,7 +306,7 @@ TEST(GoldenBytes, OneJournalRecordPerEvent) {
   checkpointed.iteration = 12;
   JournalRecord done = doneRec(1);
   done.message = "ok";
-  const std::pair<JournalRecord, const char*> cases[] = {
+  return {
       {accepted,
        "4246564a01010000610000004b49490a"
        "010000000000000005000000616c706861050000006b65792d31230000006369"
@@ -330,6 +326,16 @@ TEST(GoldenBytes, OneJournalRecordPerEvent) {
        "01000000000000000000000000000000000000000b0000000000000004000000"
        "646f6e65020000006f6b0000000000002440000000000000d03f"},
   };
+}
+
+TEST(GoldenBytes, OneJournalRecordPerEvent) {
+  // One record of every JournalEvent, as its on-disk bytes: the 16-byte
+  // header (magic "BFVJ", version, event, two reserved bytes, payload
+  // length, payload CRC-32) and then every field in its fixed order. Each
+  // golden string decodes back to the record, which encodes to the same
+  // bytes.
+  const std::vector<std::pair<JournalRecord, const char*>> cases =
+      goldenRecords();
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const auto& [rec, golden] = cases[i];
     SCOPED_TRACE(to_string(rec.event));
@@ -350,6 +356,34 @@ TEST(GoldenBytes, OneJournalRecordPerEvent) {
     EXPECT_EQ(back.message, rec.message);
     EXPECT_EQ(back.states, rec.states);
     EXPECT_EQ(back.seconds, rec.seconds);
+  }
+}
+
+TEST(SvcJournal, EveryRecordRejectsShortAndLongPayloads) {
+  // Each golden record with its payload one byte short or one byte long,
+  // and the header's length and CRC resealed to match, is not a record:
+  // decodeRecord reads the one field list exactly and ends the valid
+  // prefix there. The payload resealed as it is still decodes.
+  for (const auto& [rec, golden] : goldenRecords()) {
+    SCOPED_TRACE(to_string(rec.event));
+    const std::vector<std::uint8_t> bytes = test::unhex(golden);
+    const std::uint32_t magic = Reader(bytes).u32();
+    const auto reseal = [&](int grow) {
+      std::vector<std::uint8_t> payload(bytes.begin() + kJournalHeaderBytes,
+                                        bytes.end());
+      if (grow > 0) payload.push_back(0);
+      if (grow < 0) payload.pop_back();
+      return io::encodeRecord(magic, kJournalVersion,
+                              static_cast<std::uint8_t>(rec.event), payload);
+    };
+    const std::vector<std::uint8_t> same = reseal(0);
+    EXPECT_EQ(Journal::decodeRecord(same.data(), same.size(), nullptr),
+              bytes.size());
+    for (const int grow : {-1, 1}) {
+      const std::vector<std::uint8_t> bad = reseal(grow);
+      EXPECT_EQ(Journal::decodeRecord(bad.data(), bad.size(), nullptr), 0u)
+          << "payload grown by " << grow;
+    }
   }
 }
 

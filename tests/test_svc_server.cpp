@@ -59,7 +59,6 @@ Server::Options baseOptions(const std::string& sock) {
   Server::Options o;
   o.endpoint = "unix:" + sock;
   o.workers = 2;
-  o.warm_managers = true;
   o.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
   o.spool_dir = test::processDir();
   o.checkpoint_every = 1;
@@ -363,7 +362,7 @@ TEST(SvcServer, GarbageBytesGetWireErrorNotACrash) {
     Submit s;
     s.tag = 1;
     s.line = "circuit=gen:counter:4:10";
-    const std::vector<std::uint8_t> bytes = encodeFrame(s.encode());
+    const std::vector<std::uint8_t> bytes = encodeFrame(encode(s));
     ASSERT_GT(bytes.size(), 10u);
     ASSERT_EQ(::send(raw.get(), bytes.data(), 10, 0), 10);
     raw.close();

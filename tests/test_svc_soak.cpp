@@ -64,7 +64,6 @@ TEST(SvcSoak, MultiTenantFairnessEvictionAndCleanShutdown) {
   Server::Options opts;
   opts.endpoint = "unix:" + sock;
   opts.workers = 4;
-  opts.warm_managers = true;
   opts.tenants = parseTenantsString("alpha:3\nbravo:2\ncarol:1\n");
   opts.spool_dir = test::processDir();
   opts.checkpoint_every = 1;

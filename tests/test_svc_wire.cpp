@@ -11,6 +11,8 @@
 #include <cstring>
 #include <iterator>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 
 #include "support/hex.hpp"
 #include "svc/protocol.hpp"
@@ -37,7 +39,7 @@ Frame roundTrip(const Frame& f) {
 TEST(SvcWire, HelloRoundTrip) {
   Hello h;
   h.tenant = "alpha";
-  const Hello back = Hello::decode(roundTrip(h.encode()));
+  const Hello back = decode<Hello>(roundTrip(encode(h)));
   EXPECT_EQ(back.tenant, "alpha");
   EXPECT_EQ(back.proto, kWireVersion);
 }
@@ -46,7 +48,7 @@ TEST(SvcWire, SubmitRoundTrip) {
   Submit s;
   s.tag = 42;
   s.line = "circuit=gen:counter:4:10 engine=bfv deadline=5";
-  const Submit back = Submit::decode(roundTrip(s.encode()));
+  const Submit back = decode<Submit>(roundTrip(encode(s)));
   EXPECT_EQ(back.tag, 42u);
   EXPECT_EQ(back.line, s.line);
 }
@@ -65,7 +67,7 @@ TEST(SvcWire, JobDoneRoundTrip) {
   d.attempts = 2;
   d.evictions = 1;
   d.resumed = true;
-  const JobDone back = JobDone::decode(roundTrip(d.encode()));
+  const JobDone back = decode<JobDone>(roundTrip(encode(d)));
   EXPECT_EQ(back.job, 7u);
   EXPECT_EQ(back.status, "done");
   EXPECT_DOUBLE_EQ(back.seconds, 1.25);
@@ -79,16 +81,16 @@ TEST(SvcWire, JobDoneRoundTrip) {
 }
 
 TEST(SvcWire, EveryMessageTypeRoundTrips) {
-  EXPECT_EQ(HelloAck::decode(roundTrip(HelloAck{9, "srv"}.encode())).session,
+  EXPECT_EQ(decode<HelloAck>(roundTrip(encode(HelloAck{9, "srv"}))).session,
             9u);
-  EXPECT_EQ(Accepted::decode(roundTrip(Accepted{1, 2}.encode())).job, 2u);
-  EXPECT_EQ(Rejected::decode(roundTrip(Rejected{3, "no"}.encode())).reason,
+  EXPECT_EQ(decode<Accepted>(roundTrip(encode(Accepted{1, 2}))).job, 2u);
+  EXPECT_EQ(decode<Rejected>(roundTrip(encode(Rejected{3, "no"}))).reason,
             "no");
   {
     JobStarted m;
     m.job = 4;
     m.resumed = true;
-    const JobStarted back = JobStarted::decode(roundTrip(m.encode()));
+    const JobStarted back = decode<JobStarted>(roundTrip(encode(m)));
     EXPECT_EQ(back.job, 4u);
     EXPECT_TRUE(back.resumed);
   }
@@ -98,7 +100,7 @@ TEST(SvcWire, EveryMessageTypeRoundTrips) {
     m.iteration = 17;
     m.frontier_states = 96.0;
     const IterationUpdate back =
-        IterationUpdate::decode(roundTrip(m.encode()));
+        decode<IterationUpdate>(roundTrip(encode(m)));
     EXPECT_EQ(back.iteration, 17u);
     EXPECT_DOUBLE_EQ(back.frontier_states, 96.0);
   }
@@ -107,18 +109,18 @@ TEST(SvcWire, EveryMessageTypeRoundTrips) {
     m.job = 6;
     m.iteration = 8;
     m.worker = 2;
-    const JobEvicted back = JobEvicted::decode(roundTrip(m.encode()));
+    const JobEvicted back = decode<JobEvicted>(roundTrip(encode(m)));
     EXPECT_EQ(back.iteration, 8u);
     EXPECT_EQ(back.worker, 2u);
   }
-  EXPECT_EQ(Cancel::decode(roundTrip(Cancel{11}.encode())).job, 11u);
-  EXPECT_EQ(Evict::decode(roundTrip(Evict{12}.encode())).job, 12u);
-  (void)StatsQuery::decode(roundTrip(StatsQuery{}.encode()));
-  EXPECT_EQ(StatsReply::decode(roundTrip(StatsReply{"{}"}.encode())).json,
+  EXPECT_EQ(decode<Cancel>(roundTrip(encode(Cancel{11}))).job, 11u);
+  EXPECT_EQ(decode<Evict>(roundTrip(encode(Evict{12}))).job, 12u);
+  (void)decode<StatsQuery>(roundTrip(encode(StatsQuery{})));
+  EXPECT_EQ(decode<StatsReply>(roundTrip(encode(StatsReply{"{}"}))).json,
             "{}");
-  EXPECT_FALSE(Shutdown::decode(roundTrip(Shutdown{false}.encode())).drain);
-  (void)Bye::decode(roundTrip(Bye{}.encode()));
-  EXPECT_EQ(WireError::decode(roundTrip(WireError{"boom"}.encode())).message,
+  EXPECT_FALSE(decode<Shutdown>(roundTrip(encode(Shutdown{false}))).drain);
+  (void)decode<Bye>(roundTrip(encode(Bye{})));
+  EXPECT_EQ(decode<WireError>(roundTrip(encode(WireError{"boom"}))).message,
             "boom");
 }
 
@@ -127,7 +129,7 @@ TEST(SvcWire, AcceptedCarriesTheTraceId) {
   a.tag = 3;
   a.job = 9;
   a.trace = 0xDEADBEEFCAFEULL;
-  const Accepted back = Accepted::decode(roundTrip(a.encode()));
+  const Accepted back = decode<Accepted>(roundTrip(encode(a)));
   EXPECT_EQ(back.tag, 3u);
   EXPECT_EQ(back.job, 9u);
   EXPECT_EQ(back.trace, 0xDEADBEEFCAFEULL);
@@ -140,7 +142,7 @@ TEST(SvcWire, StatsQueryFlagsRoundTrip) {
         StatsQuery::kAllSections}) {
     StatsQuery q;
     q.flags = flags;
-    EXPECT_EQ(StatsQuery::decode(roundTrip(q.encode())).flags, flags);
+    EXPECT_EQ(decode<StatsQuery>(roundTrip(encode(q))).flags, flags);
   }
 }
 
@@ -149,22 +151,22 @@ TEST(SvcWire, StatsQueryUnknownSectionFlagsRejected) {
   // not know must get a protocol error, not a silently-wrong reply.
   StatsQuery q;
   q.flags = StatsQuery::kAllSections;
-  Frame f = q.encode();
+  Frame f = encode(q);
   f.payload[0] |= 0x80;  // set a flag bit beyond kAllSections
-  EXPECT_THROW(StatsQuery::decode(f), Error);
+  EXPECT_THROW(decode<StatsQuery>(f), Error);
 }
 
 TEST(SvcWire, TruncatedStatsQueryPayloadRejected) {
-  Frame f = StatsQuery{}.encode();
+  Frame f = encode(StatsQuery{});
   ASSERT_FALSE(f.payload.empty());
   f.payload.pop_back();
-  EXPECT_THROW(StatsQuery::decode(f), Error);
+  EXPECT_THROW(decode<StatsQuery>(f), Error);
 }
 
 TEST(SvcWire, CorruptedStatsReplyCrcMismatch) {
   StatsReply reply;
   reply.json = "{\"queue_depth\": 3}";
-  std::vector<std::uint8_t> bytes = encodeFrame(reply.encode());
+  std::vector<std::uint8_t> bytes = encodeFrame(encode(reply));
   bytes[kFrameHeaderBytes + 2] ^= 0x10;
   FrameType t;
   std::uint32_t crc;
@@ -174,12 +176,12 @@ TEST(SvcWire, CorruptedStatsReplyCrcMismatch) {
 }
 
 TEST(SvcWire, DecodeRejectsWrongFrameType) {
-  const Frame f = Cancel{1}.encode();
-  EXPECT_THROW(Evict::decode(f), Error);
+  const Frame f = encode(Cancel{1});
+  EXPECT_THROW(decode<Evict>(f), Error);
 }
 
 TEST(SvcWire, BadMagicRejected) {
-  std::vector<std::uint8_t> bytes = encodeFrame(Bye{}.encode());
+  std::vector<std::uint8_t> bytes = encodeFrame(encode(Bye{}));
   bytes[0] ^= 0xFF;
   FrameType t;
   std::uint32_t crc;
@@ -187,7 +189,7 @@ TEST(SvcWire, BadMagicRejected) {
 }
 
 TEST(SvcWire, VersionSkewRejected) {
-  std::vector<std::uint8_t> bytes = encodeFrame(Bye{}.encode());
+  std::vector<std::uint8_t> bytes = encodeFrame(encode(Bye{}));
   bytes[4] = kWireVersion + 1;
   FrameType t;
   std::uint32_t crc;
@@ -195,7 +197,7 @@ TEST(SvcWire, VersionSkewRejected) {
 }
 
 TEST(SvcWire, ReservedBitsRejected) {
-  std::vector<std::uint8_t> bytes = encodeFrame(Bye{}.encode());
+  std::vector<std::uint8_t> bytes = encodeFrame(encode(Bye{}));
   bytes[6] = 1;
   FrameType t;
   std::uint32_t crc;
@@ -205,7 +207,7 @@ TEST(SvcWire, ReservedBitsRejected) {
 TEST(SvcWire, OversizedLengthPrefixRejected) {
   // A corrupted (or hostile) length prefix must be rejected from the
   // header alone — before any allocation happens.
-  std::vector<std::uint8_t> bytes = encodeFrame(Bye{}.encode());
+  std::vector<std::uint8_t> bytes = encodeFrame(encode(Bye{}));
   const std::uint32_t huge = kMaxFramePayload + 1;
   std::memcpy(bytes.data() + 8, &huge, 4);
   FrameType t;
@@ -217,7 +219,7 @@ TEST(SvcWire, CorruptedPayloadCrcMismatch) {
   Submit s;
   s.tag = 1;
   s.line = "circuit=gen:counter:4:10";
-  std::vector<std::uint8_t> bytes = encodeFrame(s.encode());
+  std::vector<std::uint8_t> bytes = encodeFrame(encode(s));
   bytes[kFrameHeaderBytes + 3] ^= 0x40;  // flip one payload bit
   FrameType t;
   std::uint32_t crc;
@@ -281,15 +283,15 @@ TEST(SvcWire, SendRecvAcrossSocket) {
   Submit s;
   s.tag = 5;
   s.line = "circuit=gen:johnson:8";
-  sendFrame(p.a, s.encode());
+  sendFrame(p.a, encode(s));
   std::optional<Frame> got = recvFrame(p.b);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(Submit::decode(*got).line, s.line);
+  EXPECT_EQ(decode<Submit>(*got).line, s.line);
 }
 
 TEST(SvcWire, CleanEofAtFrameBoundaryIsNotAnError) {
   Pair p;
-  sendFrame(p.a, Bye{}.encode());
+  sendFrame(p.a, encode(Bye{}));
   p.a.close();
   EXPECT_TRUE(recvFrame(p.b).has_value());   // the Bye
   EXPECT_FALSE(recvFrame(p.b).has_value());  // then orderly EOF
@@ -297,7 +299,7 @@ TEST(SvcWire, CleanEofAtFrameBoundaryIsNotAnError) {
 
 TEST(SvcWire, DisconnectMidHeaderIsAnError) {
   Pair p;
-  const std::vector<std::uint8_t> bytes = encodeFrame(Bye{}.encode());
+  const std::vector<std::uint8_t> bytes = encodeFrame(encode(Bye{}));
   ASSERT_EQ(::send(p.a.get(), bytes.data(), 7, 0), 7);  // header cut short
   p.a.close();
   EXPECT_THROW(recvFrame(p.b), Error);
@@ -308,7 +310,7 @@ TEST(SvcWire, DisconnectMidPayloadIsAnError) {
   Submit s;
   s.tag = 1;
   s.line = "circuit=gen:counter:4:10";
-  const std::vector<std::uint8_t> bytes = encodeFrame(s.encode());
+  const std::vector<std::uint8_t> bytes = encodeFrame(encode(s));
   const std::size_t cut = kFrameHeaderBytes + 5;  // header + partial payload
   ASSERT_EQ(::send(p.a.get(), bytes.data(), cut, 0),
             static_cast<ssize_t>(cut));
@@ -346,14 +348,17 @@ TEST(SvcWire, EndpointParse) {
 /// Decode a frame as message M and encode it again.
 template <class M>
 Frame reencode(const Frame& f) {
-  return M::decode(f).encode();
+  return encode(decode<M>(f));
 }
 
-TEST(GoldenBytes, OneWireFramePerType) {
-  // One frame of every FrameType, as the bytes a peer receives: the 16-byte
-  // header (magic "BFVS", version, type, two reserved bytes, payload length,
-  // payload CRC-32) and then the payload. Each golden string decodes back to
-  // its message, which encodes to the same bytes.
+/// One frame of every FrameType, in type order, with its committed bytes.
+struct GoldenFrame {
+  Frame frame;
+  Frame (*reencode)(const Frame&);
+  const char* hex;
+};
+
+std::vector<GoldenFrame> goldenFrames() {
   IterationUpdate iter;
   iter.job = 5;
   iter.iteration = 17;
@@ -373,68 +378,71 @@ TEST(GoldenBytes, OneWireFramePerType) {
   done.attempts = 2;
   done.evictions = 1;
   done.resumed = true;
-  struct Case {
-    Frame frame;
-    Frame (*reencode)(const Frame&);
-    const char* hex;
-  };
-  const Case cases[] = {
-      {Hello{"alpha", kWireVersion}.encode(), reencode<Hello>,
+  return {
+      {encode(Hello{"alpha", kWireVersion}), reencode<Hello>,
        "42465653030100000a000000d9d4dd52"
        "05000000616c70686103"},
-      {HelloAck{0x0102030405060708u, "srv"}.encode(), reencode<HelloAck>,
+      {encode(HelloAck{0x0102030405060708u, "srv"}), reencode<HelloAck>,
        "42465653030200000f0000001d2e533f"
        "080706050403020103000000737276"},
-      {Submit{42, "circuit=gen:counter:4:10 engine=bfv", "key-1"}.encode(),
+      {encode(Submit{42, "circuit=gen:counter:4:10 engine=bfv", "key-1"}),
        reencode<Submit>,
        "424656530303000038000000624653d7"
        "2a0000000000000023000000636972637569743d67656e3a636f756e7465723a"
        "343a313020656e67696e653d626676050000006b65792d31"},
-      {Accepted{3, 9, 0xDEADBEEFCAFEu}.encode(), reencode<Accepted>,
+      {encode(Accepted{3, 9, 0xDEADBEEFCAFEu}), reencode<Accepted>,
        "424656530304000018000000ab6ddbd4"
        "03000000000000000900000000000000fecaefbeadde0000"},
-      {Rejected{4, "queue full"}.encode(), reencode<Rejected>,
+      {encode(Rejected{4, "queue full"}), reencode<Rejected>,
        "424656530305000016000000457b98fb"
        "04000000000000000a00000071756575652066756c6c"},
-      {JobStarted{5, true}.encode(), reencode<JobStarted>,
+      {encode(JobStarted{5, true}), reencode<JobStarted>,
        "424656530306000009000000776199db"
        "050000000000000001"},
-      {iter.encode(), reencode<IterationUpdate>,
+      {encode(iter), reencode<IterationUpdate>,
        "424656530307000030000000864cd4dc"
        "050000000000000011000000000000002100000000000000d204000000000000"
        "29090000000000000000000000005840"},
-      {JobEvicted{6, 8, 2}.encode(), reencode<JobEvicted>,
+      {encode(JobEvicted{6, 8, 2}), reencode<JobEvicted>,
        "4246565303080000140000002db8f327"
        "0600000000000000080000000000000002000000"},
-      {done.encode(), reencode<JobDone>,
+      {encode(done), reencode<JobDone>,
        "42465653030900004900000006ca522c"
        "070000000000000004000000646f6e6500000000000000000000f43f00000000"
        "0000e03f03000000c90000000000000000000000000069403930000000000000"
        "020000000100000001"},
-      {Cancel{11}.encode(), reencode<Cancel>,
+      {encode(Cancel{11}), reencode<Cancel>,
        "42465653030a0000080000003fc34838"
        "0b00000000000000"},
-      {Evict{12}.encode(), reencode<Evict>,
+      {encode(Evict{12}), reencode<Evict>,
        "42465653030b00000800000026ca8d32"
        "0c00000000000000"},
-      {StatsQuery{StatsQuery::kAllSections}.encode(), reencode<StatsQuery>,
+      {encode(StatsQuery{StatsQuery::kAllSections}), reencode<StatsQuery>,
        "42465653030c000004000000a5e793bc"
        "07000000"},
-      {StatsReply{"{}"}.encode(), reencode<StatsReply>,
+      {encode(StatsReply{"{}"}), reencode<StatsReply>,
        "42465653030d00000600000014ad751e"
        "020000007b7d"},
-      {Shutdown{false}.encode(), reencode<Shutdown>,
+      {encode(Shutdown{false}), reencode<Shutdown>,
        "42465653030e0000010000008def02d2"
        "00"},
-      {Bye{}.encode(), reencode<Bye>,
+      {encode(Bye{}), reencode<Bye>,
        "42465653030f00000000000000000000"},
-      {WireError{"boom"}.encode(), reencode<WireError>,
+      {encode(WireError{"boom"}), reencode<WireError>,
        "4246565303100000080000008b08aae2"
        "04000000626f6f6d"},
   };
+}
+
+TEST(GoldenBytes, OneWireFramePerType) {
+  // One frame of every FrameType, as the bytes a peer receives: the 16-byte
+  // header (magic "BFVS", version, type, two reserved bytes, payload length,
+  // payload CRC-32) and then the payload. Each golden string decodes back to
+  // its message, which encodes to the same bytes.
+  const std::vector<GoldenFrame> cases = goldenFrames();
   ASSERT_EQ(std::size(cases), 16u);  // every FrameType, kHello..kError
   for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const Case& c = cases[i];
+    const GoldenFrame& c = cases[i];
     SCOPED_TRACE(to_string(c.frame.type));
     EXPECT_EQ(static_cast<std::size_t>(c.frame.type), i + 1);
     EXPECT_EQ(test::hex(encodeFrame(c.frame)), c.hex);
@@ -450,6 +458,73 @@ TEST(GoldenBytes, OneWireFramePerType) {
     EXPECT_EQ(back.type, c.frame.type);
     EXPECT_EQ(test::hex(encodeFrame(c.reencode(back))), c.hex);
   }
+}
+
+/// Every message type, in FrameType order.
+template <class... M>
+struct Messages {};
+using AllMessages =
+    Messages<Hello, HelloAck, Submit, Accepted, Rejected, JobStarted,
+             IterationUpdate, JobEvicted, JobDone, Cancel, Evict, StatsQuery,
+             StatsReply, Shutdown, Bye, WireError>;
+
+/// fn(std::type_identity<M>{}) for every message type M.
+template <class... M, class Fn>
+void forEachMessage(Messages<M...>, Fn fn) {
+  (fn(std::type_identity<M>{}), ...);
+}
+
+/// Payload offsets of the bool fields in the encoding of `m`.
+template <class M>
+std::vector<std::size_t> boolOffsets(const M& m) {
+  std::vector<std::size_t> at;
+  Writer w;
+  std::apply(
+      [&](const auto&... field) {
+        ((std::is_same_v<std::decay_t<decltype(field)>, bool>
+              ? at.push_back(w.buf.size())
+              : void(),
+          io::put(w, field)),
+         ...);
+      },
+      M::fields(m));
+  return at;
+}
+
+TEST(SvcWire, EveryMessageRejectsShortLongAndOutOfRangePayloads) {
+  // Each golden frame's payload one byte short or one byte long, any of
+  // its bool bytes set to 2, and the frame decoded as any other message
+  // type: each is an svc::Error, because decode reads the message's one
+  // field list exactly.
+  const std::vector<GoldenFrame> golden = goldenFrames();
+  std::size_t bools = 0;
+  forEachMessage(AllMessages{}, [&](auto type) {
+    using M = typename decltype(type)::type;
+    SCOPED_TRACE(to_string(M::kType));
+    const Frame& f = golden.at(static_cast<std::size_t>(M::kType) - 1).frame;
+    ASSERT_EQ(f.type, M::kType);
+    if (!f.payload.empty()) {
+      Frame shorter = f;
+      shorter.payload.pop_back();
+      EXPECT_THROW(decode<M>(shorter), Error);
+    }
+    Frame longer = f;
+    longer.payload.push_back(0);
+    EXPECT_THROW(decode<M>(longer), Error);
+    for (const std::size_t at : boolOffsets(decode<M>(f))) {
+      Frame bad = f;
+      bad.payload.at(at) = 2;
+      EXPECT_THROW(decode<M>(bad), Error);
+      bools += 1;
+    }
+    forEachMessage(AllMessages{}, [&](auto other) {
+      using N = typename decltype(other)::type;
+      if constexpr (!std::is_same_v<M, N>) {
+        EXPECT_THROW(decode<N>(f), Error);
+      }
+    });
+  });
+  EXPECT_EQ(bools, 3u);  // JobStarted.resumed, JobDone.resumed, Shutdown.drain
 }
 
 }  // namespace
