@@ -16,7 +16,8 @@
 //   --stats           fetch and print the live server snapshot (counters,
 //                     queue depth, metrics, span timelines, flight ring)
 //   --shutdown[=drain|now]  ask the server to stop (default drain)
-//   --quiet           suppress per-job rows (roll-up still prints)
+//   --quiet           suppress per-job rows (roll-up and failure reasons
+//                     still print)
 //   --strict          exit 1 also on memout/timeout jobs
 //   --deadline S      overall wall-clock budget in seconds; exit 3 when it
 //                     expires before every job finished
@@ -370,13 +371,24 @@ int main(int argc, char** argv) {
           }
         }
       }
+      // As in bfv_run, each failure says why on stderr, even under --quiet.
       for (const LineState& l : runner.lines()) {
         if (l.rejected) {
           ++rejected;
           continue;
         }
-        counts.add(
-            parse_run_status(l.done.status).value_or(RunStatus::kError));
+        const RunStatus status =
+            parse_run_status(l.done.status).value_or(RunStatus::kError);
+        counts.add(status);
+        if (status == RunStatus::kError) {
+          std::fprintf(stderr, "job %s failed: %s\n", l.line.c_str(),
+                       l.done.message.c_str());
+        } else if (args.strict && (status == RunStatus::kMemOut ||
+                                   status == RunStatus::kTimeOut)) {
+          std::fprintf(stderr, "job %s exceeded its budget (%s): %s\n",
+                       l.line.c_str(), l.done.status.c_str(),
+                       l.done.message.c_str());
+        }
       }
       const std::size_t evictions = runner.evictions();
       std::printf("%zu jobs as tenant %s: %s, %zu rejected; %zu eviction%s\n",

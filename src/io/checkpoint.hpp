@@ -2,8 +2,9 @@
 // shared BDD DAG of the reached set and the frontier, the component choice
 // variables (BFV/CDEC engines), and the manager's variable order at
 // snapshot time. A checkpoint written mid-run by any engine can be loaded
-// into a *fresh* manager and continued to a bit-identical fixpoint
-// (reach/resume.cpp): the reached-set sequence depends only on the (reached,
+// into a *fresh* manager and continued to a bit-identical fixpoint by the
+// engine that wrote it (ReachOptions::resume; the job runner's resume step
+// in run/job.cpp): the reached-set sequence depends only on the (reached,
 // from) pair and the variable order, both of which the file captures
 // exactly.
 //
@@ -76,11 +77,9 @@ struct Checkpoint {
   std::vector<Bdd> frontier;
 };
 
-/// Serialize `c` to a self-contained byte image — the exact bytes save()
-/// writes (magic, version, CRC, payload), so an image can travel over a
-/// wire or sit in memory as a job-migration unit and still round-trip
-/// through decode() on the far side. All non-null roots must belong to one
-/// manager. Throws io::Error on failure.
+/// Serialize `c` to a self-contained byte image: the exact bytes save()
+/// writes (magic, version, CRC, payload), which decode() reads back. All
+/// non-null roots must belong to one manager. Throws io::Error on failure.
 std::vector<std::uint8_t> encode(const Checkpoint& c);
 
 /// Inverse of encode(): verify magic/version/CRC, restore the recorded

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -208,25 +207,5 @@ ReachResult reachHybrid(sym::StateSpace& s, const ReachOptions& opts = {});
 /// std::logic_error): the one dispatch from the engine table to the
 /// entry points above.
 ReachResult runEngine(sym::StateSpace& s, Engine e, ReachOptions opts = {});
-
-/// Restart a checkpointed run: load `checkpoint_path` into the state
-/// space's manager (restoring the recorded variable order) and continue the
-/// fixpoint with the engine the file's tag names, seeded with its reached
-/// set and frontier. The state space must be built over the same circuit
-/// and initial order as the original run (same variable count; the
-/// checkpoint carries the order itself). The continued run's states/
-/// iterations/status are bit-identical to the uninterrupted run's: the
-/// reached-set sequence depends only on the (reached, frontier) pair the
-/// file captures exactly. Throws io::Error on a missing/corrupt/mismatched
-/// file, and on a tag that names no engine that writes checkpoints.
-ReachResult resumeReach(sym::StateSpace& s, const std::string& checkpoint_path,
-                        const ReachOptions& opts = {});
-
-/// Same restart from an in-memory checkpoint image (the bytes io::encode
-/// produces / io::save writes) — the job-migration path of the serving
-/// layer, where an evicted job's snapshot travels between workers without
-/// touching the filesystem. Throws io::Error on a corrupt/mismatched image.
-ReachResult resumeReach(sym::StateSpace& s, std::span<const std::uint8_t> image,
-                        const ReachOptions& opts = {});
 
 }  // namespace bfvr::reach

@@ -162,8 +162,8 @@ namespace {
 
 /// One attempt on one manager — fresh, or acquired warm from the worker's
 /// ManagerCache: deadline + cancellation wired to the interrupt hook, fault
-/// plan installed, engine dispatched (or resumed from an in-memory image /
-/// a checkpoint file when one is available). Never throws: every failure
+/// plan installed, engine dispatched (or resumed from the job's checkpoint
+/// file when `try_resume` and one is usable). Never throws: every failure
 /// mode folds into the result status — which is what lets a worker release
 /// this attempt's manager (scoped here, released whatever happened) and
 /// move on to the next queued job or retry.
@@ -218,21 +218,15 @@ JobResult executeAttempt(const JobSpec& spec, const CancelToken* cancel,
     // released to the warm cache below.
     {
       sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
-      // Resume seeds the job's own engine (with its own options) from the
-      // migration image, captured when this job was evicted from another
-      // worker, or else from its checkpoint file. No checkpoint, or none
-      // this engine can continue (io::Error), means a fresh run.
-      const bool has_image =
-          spec.resume_image != nullptr && !spec.resume_image->empty();
-      if (has_image || (try_resume && !opts.checkpoint_path.empty())) {
-        // Decoding installs the image's variable order before it can fail,
-        // so a rejected image puts the job's own order back.
+      // Resume seeds the job's own engine (with its own options) from its
+      // checkpoint file. No file, or none this engine can continue
+      // (io::Error), means a fresh run.
+      if (try_resume && !opts.checkpoint_path.empty()) {
+        // Decoding installs the file's variable order before it can fail,
+        // so a rejected file puts the job's own order back.
         const std::vector<unsigned> order = m.currentOrder();
         try {
-          const io::Checkpoint c =
-              has_image ? io::decode(spec.resume_image->data(),
-                                     spec.resume_image->size(), m)
-                        : io::load(opts.checkpoint_path, m);
+          const io::Checkpoint c = io::load(opts.checkpoint_path, m);
           reach::ReachOptions seeded = opts;
           seeded.resume = &c;
           out.reach = reach::runEngine(s, spec.engine, seeded);
@@ -317,7 +311,7 @@ JobResult executeJob(const JobSpec& spec, const CancelToken* cancel,
     AttemptRecord rec;
     rec.escalation = escalation;
     std::vector<AttemptRecord> history = std::move(out.attempts);
-    out = executeAttempt(cur, cancel, /*try_resume=*/attempt > 1, warm, rec);
+    out = executeAttempt(cur, cancel, spec.resume || attempt > 1, warm, rec);
     out.attempts = std::move(history);
     out.attempts.push_back(std::move(rec));
     // Only an out-of-nodes attempt is worth escalating: a timeout would

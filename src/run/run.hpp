@@ -150,17 +150,12 @@ struct JobSpec {
   /// fires on attempt 1 fires identically on attempt 2 unless the
   /// escalation changed the allocation sequence.
   bdd::FaultPlan faults;
-  /// In-memory checkpoint image (io::encode bytes) to resume from on the
-  /// FIRST attempt — the serving layer's eviction/migration unit, letting a
-  /// job suspended on one worker continue on another without touching the
-  /// filesystem. Shared so requeued copies don't duplicate the snapshot.
-  /// A corrupt or mismatched image falls back to a fresh run: the fixpoint
+  /// The first attempt also resumes from `opts.checkpoint_path` (retries
+  /// always do): how the serving layer continues an evicted or replayed
+  /// job from its spool snapshot, on whichever worker picks it up. A
+  /// missing, corrupt or mismatched file means a fresh run: the fixpoint
   /// is the same either way, only the recomputation differs.
-  std::shared_ptr<const std::vector<std::uint8_t>> resume_image;
-  /// Observability pass-through: the serving layer's span trace id, so a
-  /// requeued/migrated copy of the job stays attached to the same span.
-  /// 0 = untraced (batch runner, tests). Never affects execution.
-  std::uint64_t trace_id = 0;
+  bool resume = false;
   /// Logical-zonotope engine (kLz) extras, ignored by the BDD engines:
   /// the pre-filter target — name of a primary output whose reachability
   /// (output == 1) the run decides, "" for a plain state count — and the

@@ -9,25 +9,21 @@ void JobTable::apply(const JournalRecord& rec) {
   if (rec.event == JournalEvent::kAccepted) {
     const auto [it, fresh] = jobs_.try_emplace(rec.job);
     if (fresh || it->second.done.has_value()) live_ += 1;
-    it->second = JobEntry{rec, 0, std::nullopt};
+    it->second = JobEntry{rec, std::nullopt};
     if (!rec.idem.empty()) keys_[{rec.tenant, rec.idem}] = rec.job;
     return;
   }
   const auto it = jobs_.find(rec.job);
-  if (it == jobs_.end()) return;
+  if (rec.event != JournalEvent::kDone || it == jobs_.end()) return;
   JobEntry& job = it->second;
-  if (rec.event == JournalEvent::kCheckpointed && !job.done.has_value()) {
-    job.watermark = rec.iteration;
-  } else if (rec.event == JournalEvent::kDone) {
-    if (!job.done.has_value()) live_ -= 1;
-    if (keep_terminal_) {
-      job.done = rec;
-      return;
-    }
-    const auto key = keys_.find({job.accepted.tenant, job.accepted.idem});
-    if (key != keys_.end() && key->second == rec.job) keys_.erase(key);
-    jobs_.erase(it);
+  if (!job.done.has_value()) live_ -= 1;
+  if (keep_terminal_) {
+    job.done = rec;
+    return;
   }
+  const auto key = keys_.find({job.accepted.tenant, job.accepted.idem});
+  if (key != keys_.end() && key->second == rec.job) keys_.erase(key);
+  jobs_.erase(it);
 }
 
 const JobEntry* JobTable::find(std::uint64_t id) const {

@@ -1,7 +1,7 @@
 // The serving tier's job table: every job in the journal's own terms — its
-// `accepted` record, checkpoint watermark and `done` record — indexed by
-// (tenant, idempotency key). I/O-free, with one mutator: the server calls
-// apply() right after each journal append and once per record it replays,
+// `accepted` record and its `done` record — indexed by (tenant, idempotency
+// key). I/O-free, with one mutator: the server calls apply() right after
+// each journal append and once per record it replays,
 // so a restarted server rebuilds the table the crashed one held at its last
 // durable record. Not thread-safe: the server drives it under its mutex.
 #pragma once
@@ -20,7 +20,6 @@ namespace bfvr::svc {
 
 struct JobEntry {
   JournalRecord accepted;             ///< tenant, idempotency key, job line
-  std::uint64_t watermark = 0;        ///< last checkpointed iteration
   std::optional<JournalRecord> done;  ///< set once terminal
 };
 
@@ -31,10 +30,10 @@ class JobTable {
   explicit JobTable(bool keep_terminal) : keep_terminal_(keep_terminal) {}
 
   /// Fold one record in, last transition winning: `accepted` adds a live
-  /// job under its key, `checkpointed` advances a live job's watermark,
-  /// `done` makes it terminal (or forgets it), `dispatched` changes
-  /// nothing. A record of a job the table does not hold (a compacted
-  /// remnant) only advances nextId().
+  /// job under its key, `done` makes it terminal (or forgets it). The
+  /// legacy `dispatched` and `checkpointed` records of older journals, and
+  /// any record of a job the table does not hold (a compacted remnant),
+  /// only advance nextId().
   void apply(const JournalRecord& rec);
 
   const JobEntry* find(std::uint64_t id) const;

@@ -138,8 +138,8 @@ Journal::~Journal() {
 }
 
 void Journal::replayAndTruncate() {
-  // Slurp the whole file: journals are small (a handful of records per
-  // job) and the scan needs random access for the record framing anyway.
+  // Slurp the whole file: journals are small (two records per job) and
+  // the scan needs random access for the record framing anyway.
   std::vector<std::uint8_t> bytes;
   {
     struct stat st{};
@@ -185,12 +185,7 @@ void Journal::append(const JournalRecord& rec) {
   const std::lock_guard<std::mutex> lock(mu_);
   writeAllFd(fd_, bytes.data(), bytes.size(), path_);
   stats_.appended += 1;
-  const bool flush =
-      policy_ == FsyncPolicy::kAlways ||
-      (policy_ == FsyncPolicy::kBatch &&
-       (rec.event == JournalEvent::kAccepted ||
-        rec.event == JournalEvent::kDone));
-  if (flush) {
+  if (policy_ != FsyncPolicy::kNever) {
     fsyncFd(fd_, path_);
     stats_.fsyncs += 1;
   }

@@ -1,8 +1,9 @@
 // Durable job journal of the serving tier: an append-only, CRC-framed log
-// of job lifecycle transitions (accepted / dispatched / checkpointed /
-// done) that survives kill -9 and lets a restarted server re-enqueue every
+// of the two job transitions a restart reads (accepted / done) that
+// survives kill -9 and lets a restarted server re-enqueue every
 // non-terminal job and answer duplicate submissions without re-executing
-// them.
+// them. Progress is not journaled: a re-enqueued job resumes from its
+// spool checkpoint file, which io::save replaces atomically.
 //
 // Record layout: the 16-byte record header of the io/bytes.hpp codec, the
 // one the wire frames use, with this format's magic and version (all
@@ -27,12 +28,12 @@
 // after kill -9 mid-append, never an error). Replayed records are handed
 // to the server in append order; last transition per job wins.
 //
-// Durability knob (FsyncPolicy): `always` fsyncs after every append,
-// `batch` only after the transitions that change what a restart must do
-// (accepted / done), `never` leaves flushing to the kernel. Compaction
-// (clean shutdown) rewrites the log with only the records still needed via
-// the same tmp+rename discipline as io::save, then fsyncs file and
-// directory, so a crash mid-compaction leaves the old journal intact.
+// Durability knob (FsyncPolicy): `batch` and `always` fsync after every
+// append (every record is one a restart reads), `never` leaves flushing to
+// the kernel. Compaction (clean shutdown) rewrites the log with only the
+// records still needed via the same tmp+rename discipline as io::save,
+// then fsyncs file and directory, so a crash mid-compaction leaves the old
+// journal intact.
 #pragma once
 
 #include <cstdint>
@@ -48,18 +49,22 @@ namespace bfvr::svc {
 inline constexpr std::uint8_t kJournalVersion = 1;
 inline constexpr std::size_t kJournalHeaderBytes = io::kRecordHeaderBytes;
 
-/// Job lifecycle transitions worth surviving a crash.
+/// Job lifecycle transitions worth surviving a crash. The server appends
+/// only kAccepted and kDone; kDispatched and kCheckpointed are legacy
+/// records of older journals, still decoded so those journals replay, and
+/// ignored by JobTable::apply.
 enum class JournalEvent : std::uint8_t {
   kAccepted = 1,      ///< admitted: carries tenant, idempotency key, job line
-  kDispatched = 2,    ///< handed to a worker
-  kCheckpointed = 3,  ///< spool snapshot cadence hit (progress watermark)
+  kDispatched = 2,    ///< legacy: handed to a worker
+  kCheckpointed = 3,  ///< legacy: spool snapshot cadence hit
   kDone = 4,          ///< terminal: carries status/message/states/seconds
 };
 
-/// When appends reach the disk.
+/// When appends reach the disk. Every record the server appends is one a
+/// restart reads, so `batch` and `always` both fsync every append.
 enum class FsyncPolicy : std::uint8_t {
   kNever = 0,   ///< leave it to the kernel (fastest, weakest)
-  kBatch = 1,   ///< fsync on accepted/done — the restart-relevant records
+  kBatch = 1,   ///< fsync every append (the default)
   kAlways = 2,  ///< fsync every append
 };
 
@@ -79,7 +84,7 @@ struct JournalRecord {
   std::string tenant;          ///< kAccepted
   std::string idem;            ///< kAccepted: client idempotency key ("" = none)
   std::string line;            ///< kAccepted: the manifest-grammar job line
-  std::uint64_t iteration = 0; ///< kCheckpointed / kDone
+  std::uint64_t iteration = 0; ///< kDone
   std::string status;          ///< kDone: RunStatus tag
   std::string message;         ///< kDone: failure reason
   double states = 0.0;         ///< kDone

@@ -87,7 +87,7 @@ struct Rejected {
 struct JobStarted {
   static constexpr FrameType kType = FrameType::kJobStarted;
   std::uint64_t job = 0;
-  bool resumed = false;  ///< true when resuming from an eviction image
+  bool resumed = false;  ///< true when resuming from a spool snapshot
   static auto fields(auto& m) { return std::tie(m.job, m.resumed); }
 };
 

@@ -1,10 +1,10 @@
 #include "svc/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -20,16 +20,12 @@ namespace {
 /// Flight-recorder ring capacity (recent events retained).
 constexpr std::size_t kFlightCapacity = 512;
 
-/// Read a spool checkpoint file whole. Empty on any failure: an eviction
-/// that raced ahead of the first snapshot simply restarts from scratch.
-std::shared_ptr<const std::vector<std::uint8_t>> slurpSpool(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  if (bytes.empty()) return nullptr;
-  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+/// Whether a job has a spool snapshot to resume from: a stat, not a read
+/// (io::save renames a complete file into place, so one that exists is
+/// whole). A job evicted before its first snapshot restarts from scratch.
+bool hasSnapshot(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 && st.st_size > 0;
 }
 
 /// Per-tenant serving counter (admission decisions, outcomes, churn).
@@ -435,10 +431,8 @@ std::optional<std::string> Server::admitLocked(const JournalRecord& accepted,
     job.spec.opts.checkpoint_every = opts_.checkpoint_every;
     job.spec.opts.checkpoint_path = spoolPathFor(id);
   }
-  if (replayed && !job.spec.opts.checkpoint_path.empty()) {
-    job.spec.resume_image = slurpSpool(job.spec.opts.checkpoint_path);
-  }
-  const bool resumed = job.spec.resume_image != nullptr;
+  job.spec.resume = replayed && hasSnapshot(job.spec.opts.checkpoint_path);
+  const bool resumed = job.spec.resume;
   const std::string display = job.spec.displayName();
   if (std::optional<std::string> reason = queue_.admit(std::move(job));
       reason.has_value()) {
@@ -473,9 +467,7 @@ std::optional<std::string> Server::admitLocked(const JournalRecord& accepted,
       tenantCounter("bfvr_svc_resumes_total", accepted.tenant).inc();
     }
     const std::string how =
-        resumed ? "resume from spool snapshot (watermark iter=" +
-                      std::to_string(table_.find(id)->watermark) + ")"
-                : "no snapshot; fresh start";
+        resumed ? "resume from spool snapshot" : "no snapshot; fresh start";
     spanEventLocked(id, "replayed", how);
     flight_.record(obs::FlightSeverity::kInfo, "journal", "replayed: " + how,
                    accepted.tenant, id);
@@ -569,50 +561,29 @@ void Server::pump() {
     r.cancel = std::make_shared<run::CancelToken>();
     run::JobSpec spec = r.job.spec;  // the Running keeps the pristine copy
     const unsigned avoid = r.job.avoid_worker;
-    const bool resumed = spec.resume_image != nullptr;
-    // Stream iteration records to the job's owner, and — with a journal —
-    // append a checkpoint watermark at the job's snapshot cadence. The hook
-    // runs on the worker thread. It looks the owner up under mu_ at every
-    // send, so a client that reattached by key gets the rest of the
-    // stream, and sends outside mu_. Updates are best-effort: one goes out
-    // only when the owner's socket is writable, and is dropped (and
-    // counted) otherwise, so a client that stops reading cannot pin the
-    // worker and the job's deadline is still polled. The hook fires
-    // *before* the engine writes the post-iteration snapshot, so a
-    // journaled watermark means "progress reached", not "snapshot
-    // durable": replay always trusts the spool file itself (atomic
-    // tmp+rename, so it is complete whenever it exists), never the
-    // watermark.
-    const bool stream = opts_.stream_iterations;
-    const bool watermark = journal_ != nullptr &&
-                           !spec.opts.checkpoint_path.empty() &&
-                           spec.opts.checkpoint_every > 0;
-    if (stream || watermark) {
-      const unsigned ckpt_every = spec.opts.checkpoint_every;
+    const bool resumed = spec.resume;
+    // Stream iteration records to the job's owner. The hook runs on the
+    // worker thread. It looks the owner up under mu_ at every send, so a
+    // client that reattached by key gets the rest of the stream, and sends
+    // outside mu_. Updates are best-effort: one goes out only when the
+    // owner's socket is writable, and is dropped (and counted) otherwise,
+    // so a client that stops reading cannot pin the worker and the job's
+    // deadline is still polled.
+    if (opts_.stream_iterations) {
       // `last_mark` carries the previous iteration's timestamp across hook
       // invocations (one lambda per dispatch, called sequentially on the
       // worker thread), so each observation is one iteration's wall-clock.
       auto last_mark = std::make_shared<double>(uptime_.seconds());
       obs::Counter* dropped = &tenantCounter(
           "bfvr_svc_iteration_updates_dropped_total", r.job.tenant);
-      spec.opts.on_iteration = [this, id, last_mark, stream, watermark,
-                                ckpt_every,
+      spec.opts.on_iteration = [this, id, last_mark,
                                 dropped](const obs::IterationRecord& it) {
         const double now_s = uptime_.seconds();
         iterationHistogram().observeSeconds(now_s - *last_mark);
         *last_mark = now_s;
-        JournalRecord mark;
-        const bool marked = watermark && it.iteration % ckpt_every == 0;
-        if (marked) {
-          mark.event = JournalEvent::kCheckpointed;
-          mark.job = id;
-          mark.iteration = it.iteration;
-          journalAppend(mark);
-        }
         std::shared_ptr<Session> owner;
         {
           const std::lock_guard<std::mutex> lock(mu_);
-          if (marked) table_.apply(mark);
           if (auto rit = running_.find(id); rit != running_.end()) {
             owner = sessionById(rit->second.job.session);
           }
@@ -631,7 +602,7 @@ void Server::pump() {
             }
           }
         }
-        if (!stream || owner == nullptr) return;
+        if (owner == nullptr) return;
         IterationUpdate u;
         u.job = id;
         u.iteration = it.iteration;
@@ -641,13 +612,6 @@ void Server::pump() {
         u.frontier_states = it.frontier_states;
         if (!sendIfWritable(owner, encode(u))) dropped->inc();
       };
-    }
-    if (journal_ != nullptr) {
-      JournalRecord rec;
-      rec.event = JournalEvent::kDispatched;
-      rec.job = id;
-      journalAppend(rec);
-      table_.apply(rec);
     }
     const std::uint64_t session_id = r.job.session;
     dispatches_ += 1;
@@ -661,11 +625,11 @@ void Server::pump() {
       }
       dispatchHistogram().observeSeconds(uptime_.seconds() - queued_at);
       spanEventLocked(id, resumed ? "resumed" : "dispatched",
-                      resumed ? "from eviction image" : "");
+                      resumed ? "from spool snapshot" : "");
     }
     if (resumed) {
       flight_.record(obs::FlightSeverity::kInfo, "resume",
-                     "resumed from eviction image", r.job.tenant, id);
+                     "resumed from spool snapshot", r.job.tenant, id);
     }
     obs::logLine(obs::LogLevel::kDebug, "svc",
                  resumed ? "resumed" : "dispatched", r.job.tenant, id);
@@ -728,17 +692,17 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
       obs::logLine(obs::LogLevel::kInfo, "svc",
                    "preserved for restart replay", rec.job.tenant, id);
     } else if (evicting) {
-      // Lift the latest spool snapshot into memory and requeue at the
-      // front, steered away from the worker that ran the job. No snapshot
-      // yet (evicted before the first checkpoint) still migrates — the
-      // resume just starts from scratch.
+      // Requeue at the front, steered away from the worker that ran the
+      // job, to resume from its spool snapshot. No snapshot yet (evicted
+      // before the first checkpoint) still migrates — the resume just
+      // starts from scratch.
       QueuedJob again = std::move(rec.job);
-      again.spec.resume_image = slurpSpool(again.spec.opts.checkpoint_path);
+      again.spec.resume = hasSnapshot(again.spec.opts.checkpoint_path);
       again.avoid_worker = r.worker;
       again.evictions += 1;
       statsFor(again.tenant).evictions += 1;
       tenantCounter("bfvr_svc_evictions_total", again.tenant).inc();
-      if (again.spec.resume_image != nullptr) {
+      if (again.spec.resume) {
         statsFor(again.tenant).resumes += 1;
         tenantCounter("bfvr_svc_resumes_total", again.tenant).inc();
       }
@@ -754,9 +718,8 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
                      "evicted at iteration " +
                          std::to_string(r.reach.iterations) + " from worker " +
                          std::to_string(r.worker) +
-                         (again.spec.resume_image != nullptr
-                              ? ", snapshot captured"
-                              : ", no snapshot yet"),
+                         (again.spec.resume ? ", snapshot kept"
+                                            : ", no snapshot yet"),
                      again.tenant, id);
       obs::logLine(obs::LogLevel::kInfo, "svc",
                    "evicted from worker " + std::to_string(r.worker),
@@ -779,7 +742,7 @@ void Server::onJobDone(std::uint64_t id, const run::JobResult& r) {
       done.peak_live_nodes = r.reach.peak_live_nodes;
       done.attempts = static_cast<std::uint32_t>(r.attempts.size());
       done.evictions = rec.job.evictions;
-      done.resumed = rec.job.spec.resume_image != nullptr ||
+      done.resumed = rec.job.spec.resume ||
                      (!r.attempts.empty() && r.attempts.back().resumed);
       finishLocked(r.status, std::move(done), rec.job.tenant,
                    rec.job.spec.opts.checkpoint_path, rec.job.session);

@@ -15,9 +15,10 @@
 //
 // Eviction/migration: every admitted job checkpoints to a per-job spool
 // file; an Evict request cancels the running job cooperatively, and its
-// completion handler lifts the latest snapshot into an in-memory resume
-// image, requeues the job at the front of its tenant's line steered AWAY
-// from the worker it ran on, and announces JobEvicted. The resumed run is
+// completion handler requeues the job at the front of its tenant's line
+// steered AWAY from the worker it ran on, marked to resume from that file
+// (run::JobSpec::resume) when it exists, and announces JobEvicted. A job
+// replayed from the journal resumes the same way. The resumed run is
 // bit-identical to an uninterrupted one (io checkpoint contract).
 //
 // Locking: mu_ guards all scheduling state and the job table; each
@@ -178,7 +179,7 @@ class Server {
     std::uint64_t rejected = 0;   ///< refused by admission control
     StatusCounts finished;        ///< jobs that reached a terminal status
     std::uint64_t evictions = 0;  ///< suspend-to-checkpoint events
-    std::uint64_t resumes = 0;    ///< jobs restarted from an eviction image
+    std::uint64_t resumes = 0;    ///< jobs restarted from a spool snapshot
     double queue_seconds = 0.0;   ///< total time jobs waited for a worker
     double exec_seconds = 0.0;    ///< total execution wall-clock
   };

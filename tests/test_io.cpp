@@ -412,6 +412,17 @@ TEST(GoldenBytes, OneSmallCheckpoint) {
 
 using reach::Engine;
 
+/// Continue engine `e` from checkpoint bytes as the job runner continues a
+/// job from its file: decode into the state space's manager, then run the
+/// engine seeded with the result.
+reach::ReachResult resume(sym::StateSpace& s, Engine e,
+                          const std::vector<std::uint8_t>& image) {
+  const Checkpoint c = decode(image.data(), image.size(), s.manager());
+  reach::ReachOptions opts;
+  opts.resume = &c;
+  return reach::runEngine(s, e, opts);
+}
+
 class ResumeMatrix
     : public ::testing::TestWithParam<std::tuple<std::string, Engine>> {};
 
@@ -494,7 +505,10 @@ TEST_P(ResumeMatrix, KilledRunResumesToBitIdenticalFixpoint) {
   // Resume in a completely fresh universe.
   Manager m(0);
   sym::StateSpace s(m, n, circuit::makeOrder(n, order));
-  const reach::ReachResult resumed = reach::resumeReach(s, path, {});
+  const Checkpoint c = load(path, m);
+  reach::ReachOptions opts;
+  opts.resume = &c;
+  const reach::ReachResult resumed = reach::runEngine(s, engine, opts);
   EXPECT_EQ(resumed.status, ref.status) << file << " " << tag;
   EXPECT_EQ(resumed.iterations, ref.iterations) << file << " " << tag;
   EXPECT_DOUBLE_EQ(resumed.states, ref.states) << file << " " << tag;
@@ -520,8 +534,7 @@ TEST(Resume, MissingCheckpointThrowsIoError) {
   Manager m(0);
   sym::StateSpace s(m, n,
                     circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
-  EXPECT_THROW(reach::resumeReach(s, tmpPath("never-written.bin"), {}),
-               Error);
+  EXPECT_THROW(load(tmpPath("never-written.bin"), m), Error);
 }
 
 TEST(Resume, InconsistentVectorCheckpointThrowsIoError) {
@@ -531,7 +544,8 @@ TEST(Resume, InconsistentVectorCheckpointThrowsIoError) {
   // io::Error, never another exception from deeper in the run.
   const circuit::Netlist n = circuit::makeCounter(4, 10);
   for (const RootKind kind : {RootKind::kBfv, RootKind::kCdec}) {
-    const char* engine = kind == RootKind::kBfv ? "bfv" : "cdec";
+    const Engine e = kind == RootKind::kBfv ? Engine::kBfv : Engine::kCdec;
+    const char* engine = reach::tag(e);
     Manager m(0);
     sym::StateSpace s(m, n,
                       circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
@@ -545,11 +559,10 @@ TEST(Resume, InconsistentVectorCheckpointThrowsIoError) {
     c.level2var = m.currentOrder();
     c.choice_vars = s.currentVars();
     c.reached = c.frontier = std::vector<Bdd>(roots.begin(), roots.end() - 1);
-    EXPECT_THROW(reach::resumeReach(s, encode(c), {}), Error)
-        << engine << ": root count";
+    EXPECT_THROW(resume(s, e, encode(c)), Error) << engine << ": root count";
     c.choice_vars = s.paramVars();
     c.reached = c.frontier = roots;
-    EXPECT_THROW(reach::resumeReach(s, encode(c), {}), Error)
+    EXPECT_THROW(resume(s, e, encode(c)), Error)
         << engine << ": choice variables";
   }
 }
@@ -557,18 +570,22 @@ TEST(Resume, InconsistentVectorCheckpointThrowsIoError) {
 TEST(Resume, TagThatNamesNoBddEngineThrowsIoError) {
   // CRC-valid chi checkpoints whose tag the engine table lacks ("warp",
   // "") or names an engine that writes no checkpoint of its own: lz runs
-  // without a manager, and tr-mono runs write "tr".
+  // without a manager, and tr-mono runs write "tr". No BDD engine
+  // continues one.
   const circuit::Netlist n = circuit::makeCounter(4, 10);
   for (const char* tag : {"lz", "tr-mono", "warp", ""}) {
-    Manager m(0);
-    sym::StateSpace s(m, n,
-                      circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
-    Checkpoint c;
-    c.engine = tag;
-    c.level2var = m.currentOrder();
-    c.reached = c.frontier = {sym::initialChar(s)};
-    EXPECT_THROW(reach::resumeReach(s, encode(c), {}), Error) << "'" << tag
-                                                              << "'";
+    for (const reach::EngineInfo& info : reach::kEngines) {
+      if (info.engine == Engine::kLz) continue;
+      Manager m(0);
+      sym::StateSpace s(m, n,
+                        circuit::makeOrder(n, {circuit::OrderKind::kTopo, 0}));
+      Checkpoint c;
+      c.engine = tag;
+      c.level2var = m.currentOrder();
+      c.reached = c.frontier = {sym::initialChar(s)};
+      EXPECT_THROW(resume(s, info.engine, encode(c)), Error)
+          << "'" << tag << "' resumed by " << info.tag;
+    }
   }
 }
 

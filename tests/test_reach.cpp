@@ -534,7 +534,10 @@ TEST(Reach, GuardedRunKilledInChiModeResumesToTheSameFixpoint) {
     }
     bdd::Manager m(0);
     sym::StateSpace s(m, n, circuit::makeOrder(n, order));
-    const ReachResult resumed = resumeReach(s, path, {});
+    const io::Checkpoint c = io::load(path, m);
+    ReachOptions opts;
+    opts.resume = &c;
+    const ReachResult resumed = runEngine(s, Engine::kBfv, opts);
     std::remove(path.c_str());
     EXPECT_EQ(resumed.status, RunStatus::kDone) << spec;
     EXPECT_EQ(resumed.iterations, ref.iterations) << spec;

@@ -7,9 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <future>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +24,7 @@
 #include "support/process_dir.hpp"
 #include "sym/simulate.hpp"
 #include "sym/space.hpp"
+#include "util/file.hpp"
 
 namespace bfvr::run {
 namespace {
@@ -619,8 +618,8 @@ TEST(RunWarm, CacheReconfiguresBetweenDifferentJobs) {
 }
 
 TEST(RunResume, InMemoryImageContinuesBitIdentically) {
-  // Run to completion once for the reference, then snapshot an interrupted
-  // run into an in-memory image (no filesystem) and resume from it.
+  // Run to completion once for the reference, then resume a job from the
+  // checkpoint file an interrupted run left behind.
   JobSpec ref;
   ref.circuit = "gen:counter:8:200";
   const JobResult full = executeJob(ref);
@@ -635,24 +634,27 @@ TEST(RunResume, InMemoryImageContinuesBitIdentically) {
   ASSERT_EQ(cut.status, RunStatus::kDone);
   ASSERT_LT(cut.reach.states, full.reach.states);
 
-  // Lift the snapshot into memory, delete the file, resume purely from the
-  // image — the migration path a checkpoint file never travels.
-  std::ifstream in(ckpt, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  auto image = std::make_shared<std::vector<std::uint8_t>>(
-      std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  in.close();
-  std::remove(ckpt.c_str());
-  ASSERT_FALSE(image->empty());
-
+  // The first attempt resumes: the path of an evicted or replayed job.
   JobSpec resumed = ref;
-  resumed.resume_image = image;
+  resumed.opts.checkpoint_path = ckpt;
+  resumed.resume = true;
   const JobResult r = executeJob(resumed);
+  std::remove(ckpt.c_str());
   EXPECT_EQ(r.status, RunStatus::kDone);
   EXPECT_EQ(r.reach.states, full.reach.states);
   EXPECT_EQ(r.reach.iterations, full.reach.iterations);
   ASSERT_FALSE(r.attempts.empty());
   EXPECT_TRUE(r.attempts.front().resumed);
+}
+
+/// Set `spec` to resume from a checkpoint file holding `image`, as the
+/// serving layer sets an evicted or replayed job.
+void resumeFrom(JobSpec& spec, const std::vector<std::uint8_t>& image) {
+  spec.opts.checkpoint_path = test::processDir() + "/bfvr_resume_image.ckpt";
+  spec.resume = true;
+  ASSERT_TRUE(util::writeFile(
+      spec.opts.checkpoint_path,
+      {reinterpret_cast<const char*>(image.data()), image.size()}));
 }
 
 /// An iteration-0 "tr" checkpoint of `s`: reached = frontier = the initial
@@ -692,8 +694,7 @@ TEST(RunResume, CorruptImageFallsBackToAFreshRun) {
     images.push_back(io::encode(c));
   }
   for (std::size_t i = 0; i < images.size(); ++i) {
-    spec.resume_image =
-        std::make_shared<std::vector<std::uint8_t>>(std::move(images[i]));
+    resumeFrom(spec, images[i]);
     const JobResult r = executeJob(spec);
     // The fixpoint is the same either way; only the recomputation differs.
     EXPECT_EQ(r.status, RunStatus::kDone) << "image " << i << ": " << r.message;
@@ -705,7 +706,7 @@ TEST(RunResume, CorruptImageFallsBackToAFreshRun) {
 
 TEST(RunResume, TagThatNamesNoBddEngineMeansAFreshRun) {
   // The images Resume.TagThatNamesNoBddEngineThrowsIoError rejects, as a
-  // bfv job's resume image: each one means a fresh run.
+  // bfv job's checkpoint file: each one means a fresh run.
   JobSpec spec;
   spec.circuit = "gen:counter:5:20";
   for (const char* tag : {"lz", "tr-mono", "warp", ""}) {
@@ -715,8 +716,7 @@ TEST(RunResume, TagThatNamesNoBddEngineMeansAFreshRun) {
       sym::StateSpace s(m, n, circuit::makeOrder(n, spec.order));
       io::Checkpoint c = initialChiCheckpoint(s);
       c.engine = tag;
-      spec.resume_image =
-          std::make_shared<std::vector<std::uint8_t>>(io::encode(c));
+      resumeFrom(spec, io::encode(c));
     }
     const JobResult r = executeJob(spec);
     EXPECT_EQ(r.status, RunStatus::kDone) << "'" << tag << "': " << r.message;
@@ -749,7 +749,7 @@ TEST(RunResume, ForgedCountImageFallsBackToAFreshRun) {
         bfv::Bfv::point(m, s.currentVars(), s.initialBits()).comps();
     image = io::encode(c);
   }
-  spec.resume_image = std::make_shared<std::vector<std::uint8_t>>(image);
+  resumeFrom(spec, image);
   const JobResult resumed = executeJob(spec);
   ASSERT_FALSE(resumed.attempts.empty());
   EXPECT_TRUE(resumed.attempts.front().resumed);  // the unforged image resumes
@@ -757,9 +757,9 @@ TEST(RunResume, ForgedCountImageFallsBackToAFreshRun) {
        {test::CheckpointCount::kLevel2Var, test::CheckpointCount::kChoiceVars,
         test::CheckpointCount::kNodes, test::CheckpointCount::kReached,
         test::CheckpointCount::kFrontier}) {
-    auto forged = std::make_shared<std::vector<std::uint8_t>>(image);
-    test::forgeCount(*forged, which, 0x40000000);
-    spec.resume_image = forged;
+    std::vector<std::uint8_t> forged = image;
+    test::forgeCount(forged, which, 0x40000000);
+    resumeFrom(spec, forged);
     const JobResult r = executeJob(spec);
     const int count = static_cast<int>(which);
     EXPECT_EQ(r.status, RunStatus::kDone)
@@ -795,7 +795,7 @@ TEST(RunResume, ImageWhoseOrderRepeatsAVariableFallsBackToAFreshRun) {
     image = io::encode(c);
     test::forgeOrderEntry(image, 1, c.level2var[0]);
   }
-  spec.resume_image = std::make_shared<std::vector<std::uint8_t>>(image);
+  resumeFrom(spec, image);
   const JobResult r = executeJob(spec);
   ASSERT_EQ(r.status, RunStatus::kDone) << r.message;
   EXPECT_EQ(r.reach.states, 20.0);
@@ -840,8 +840,7 @@ TEST(RunResume, RejectedImageFallsBackUnderTheJobsOwnOrder) {
     images.push_back(io::encode(tr));
   }
   for (std::size_t i = 0; i < images.size(); ++i) {
-    spec.resume_image =
-        std::make_shared<std::vector<std::uint8_t>>(std::move(images[i]));
+    resumeFrom(spec, images[i]);
     const JobResult r = executeJob(spec);
     ASSERT_EQ(r.status, RunStatus::kDone) << "image " << i << ": "
                                           << r.message;
@@ -872,8 +871,7 @@ TEST(RunResume, ImageSeedsTheJobsOwnEngine) {
     const circuit::Netlist n = resolveCircuit(mono.circuit);
     sym::StateSpace s(m, n, circuit::makeOrder(n, mono.order));
     cube_nodes = s.numLatches() + 1;
-    mono.resume_image = std::make_shared<std::vector<std::uint8_t>>(
-        io::encode(initialChiCheckpoint(s)));
+    resumeFrom(mono, io::encode(initialChiCheckpoint(s)));
   }
   const JobResult resumed = executeJob(mono);
   EXPECT_EQ(resumed.status, RunStatus::kDone);

@@ -2,8 +2,9 @@
 //
 // Unit tests of apply() for each journal event, then the in-memory half of
 // the crash-point enumeration: a synthetic journal (two tenants; one job
-// done, one cancelled while queued, one checkpointed and left live, one key
-// reused across tenants) is cut at every byte, each prefix is decoded with
+// done, one cancelled while queued, one left live, one key reused across
+// tenants, and the legacy dispatched/checkpointed records an older server
+// wrote between them) is cut at every byte, each prefix is decoded with
 // Journal::decodeRecord exactly as a restarting server would, applied to a
 // fresh table, and the table is checked against what the prefix says.
 #include <gtest/gtest.h>
@@ -71,7 +72,6 @@ TEST(SvcJobTable, AcceptedAddsALiveJobUnderItsTenantAndKey) {
   ASSERT_NE(t.find(3), nullptr);
   EXPECT_EQ(t.find(3)->accepted.line, "circuit=gen:counter:4:7");
   EXPECT_FALSE(t.find(3)->done.has_value());
-  EXPECT_EQ(t.find(3)->watermark, 0u);
   EXPECT_EQ(t.findKey("alpha", "k"), t.find(3));
   // Keys are scoped per tenant.
   EXPECT_EQ(t.findKey("bravo", "k"), nullptr);
@@ -92,21 +92,32 @@ TEST(SvcJobTable, DispatchedChangesNothing) {
   t.apply(dispatched(1));
   ASSERT_NE(t.find(1), nullptr);
   EXPECT_FALSE(t.find(1)->done.has_value());
-  EXPECT_EQ(t.find(1)->watermark, 4u);
   EXPECT_EQ(t.liveCount(), 1u);
   EXPECT_EQ(t.nextId(), 2u);
 }
 
 TEST(SvcJobTable, CheckpointedAdvancesTheWatermarkOfALiveJob) {
+  // A legacy `checkpointed` record, as an older server journaled at each
+  // snapshot, changes nothing: progress comes back from the spool file.
   JobTable t(true);
-  t.apply(accepted(1, "alpha", ""));
+  t.apply(accepted(1, "alpha", "k"));
   t.apply(checkpointed(1, 2));
   t.apply(checkpointed(1, 5));
-  EXPECT_EQ(t.find(1)->watermark, 5u);
-  // A terminal job's watermark is frozen.
+  ASSERT_NE(t.find(1), nullptr);
+  EXPECT_EQ(t.find(1)->accepted.line, accepted(1, "alpha", "k").line);
+  EXPECT_FALSE(t.find(1)->done.has_value());
+  EXPECT_EQ(t.findKey("alpha", "k"), t.find(1));
+  EXPECT_EQ(liveIds(t), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(t.terminalCount(), 0u);
+  EXPECT_EQ(t.nextId(), 2u);
+  // Nor after the job is terminal.
   t.apply(done(1, "done"));
   t.apply(checkpointed(1, 6));
-  EXPECT_EQ(t.find(1)->watermark, 5u);
+  ASSERT_TRUE(t.find(1)->done.has_value());
+  EXPECT_EQ(t.find(1)->done->status, "done");
+  EXPECT_EQ(t.liveCount(), 0u);
+  EXPECT_EQ(t.terminalCount(), 1u);
+  EXPECT_EQ(t.nextId(), 2u);
 }
 
 TEST(SvcJobTable, DoneMakesTheJobTerminalOrForgetsIt) {
@@ -150,7 +161,8 @@ TEST(SvcJobTable, EveryCrashPrefixReplaysConsistently) {
   // Job 1 (alpha) runs to done; job 2 (bravo, key "shared") is cancelled
   // while queued; job 3 (alpha) checkpoints and stays live; job 4 (alpha)
   // reuses bravo's key "shared" and finishes; job 5 (carol, no key) is
-  // left queued.
+  // left queued. The dispatched/checkpointed records are an older
+  // server's; they must replay and change nothing.
   const std::vector<JournalRecord> log = {
       accepted(1, "alpha", "a-1"), accepted(2, "bravo", "shared"),
       dispatched(1),               accepted(3, "alpha", "a-3"),
@@ -191,14 +203,9 @@ TEST(SvcJobTable, EveryCrashPrefixReplaysConsistently) {
 
     std::map<std::uint64_t, const JournalRecord*> acc;
     std::set<std::uint64_t> terminal;
-    std::map<std::uint64_t, std::uint64_t> last_mark;
     for (const JournalRecord& rec : prefix) {
       if (rec.event == JournalEvent::kAccepted) acc[rec.job] = &rec;
       if (rec.event == JournalEvent::kDone) terminal.insert(rec.job);
-      if (rec.event == JournalEvent::kCheckpointed &&
-          terminal.count(rec.job) == 0) {
-        last_mark[rec.job] = rec.iteration;
-      }
       EXPECT_GT(t.nextId(), rec.job);
     }
     const std::vector<std::uint64_t> live = liveIds(t);
@@ -215,9 +222,6 @@ TEST(SvcJobTable, EveryCrashPrefixReplaysConsistently) {
       EXPECT_EQ(std::count(live.begin(), live.end(), id),
                 is_terminal ? 0 : 1)
           << "job " << id;
-      if (!is_terminal) {
-        EXPECT_EQ(job->watermark, last_mark[id]) << "job " << id;
-      }
       // Its (tenant, key) leads back to it and to no other id.
       if (!rec->idem.empty()) {
         EXPECT_EQ(t.findKey(rec->tenant, rec->idem), job) << "job " << id;

@@ -4,15 +4,16 @@
 // rejects every mutation, reopen replays the log, a torn tail (the
 // kill -9 signature) is truncated and the file stays appendable, a
 // corrupted middle record ends the valid prefix, compaction rewrites
-// atomically; then the server-level contract over a real socket: lifecycle
-// records land in the log, clean shutdown compacts terminal jobs away,
-// duplicate idempotency keys are answered from the journal without
-// re-executing (keys are scoped per tenant, and a client that reattaches by
-// key to a running job receives the rest of its progress stream), a job
-// replay cannot re-admit is retired under its key, and an immediate
-// shutdown (the in-process stand-in for a crash) preserves accepted jobs so
-// a restarted server resumes them from their spool checkpoint
-// bit-identically.
+// atomically; then the server-level contract over a real socket: only the
+// accepted and done records land in the log, clean shutdown compacts
+// terminal jobs away, duplicate idempotency keys are answered from the
+// journal without re-executing (keys are scoped per tenant, and a client
+// that reattaches by key to a running job receives the rest of its
+// progress stream), a job replay cannot re-admit is retired under its key,
+// and an immediate shutdown (the in-process stand-in for a crash) preserves
+// accepted jobs so a restarted server resumes them from their spool
+// checkpoint bit-identically, as it does the jobs of a journal an older
+// server wrote with per-dispatch and per-checkpoint records.
 //
 // SvcDeadline: the idle reaper closes silent sessions, a slow-loris
 // partial frame trips the frame deadline instead of pinning a session
@@ -34,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "run/manifest.hpp"
 #include "run/run.hpp"
 #include "support/hex.hpp"
 #include "support/process_dir.hpp"
@@ -410,7 +412,9 @@ TEST(SvcJournal, ServerWritesLifecycleRecords) {
     server.requestShutdown(true);
     server.waitStopped();
   }
+  // Only the records a restart reads: progress lives in the spool file.
   Journal j(dir, FsyncPolicy::kNever);
+  EXPECT_EQ(j.replayed().size(), 2u);
   bool accepted = false, dispatched = false, checkpointed = false,
        done = false;
   for (const JournalRecord& r : j.replayed()) {
@@ -436,8 +440,8 @@ TEST(SvcJournal, ServerWritesLifecycleRecords) {
     }
   }
   EXPECT_TRUE(accepted);
-  EXPECT_TRUE(dispatched);
-  EXPECT_TRUE(checkpointed);  // checkpoint_every=1: the watermark advanced
+  EXPECT_FALSE(dispatched);
+  EXPECT_FALSE(checkpointed);  // though checkpoint_every=1 wrote snapshots
   EXPECT_TRUE(done);
 }
 
@@ -765,6 +769,71 @@ TEST(SvcJournal, ImmediateShutdownPreservesJobsAndRestartResumesBitIdentical) {
   EXPECT_EQ(server.dedupHits(), 1u);
   server.requestShutdown(true);
   server.waitStopped();
+}
+
+TEST(SvcJournal, LegacyProgressRecordsReplayAndResume) {
+  // A journal as an older server wrote it: besides `accepted`, one
+  // `dispatched` record and a `checkpointed` record per iteration, and the
+  // killed run's snapshot in the spool. The job replays, resumes from the
+  // snapshot to the uninterrupted run's fixpoint, and the log gains only
+  // its `done` record.
+  const std::string sock = sockPath("jlegacy");
+  const std::string dir = journalDir("jlegacy");
+  const std::string spool = freshDir("jlegacy_spool");
+  const std::string line = "circuit=gen:counter:12:4096";
+  constexpr unsigned kCut = 6;
+  run::JobSpec spec = run::parseManifestString(line).at(0).spec;
+  const run::JobResult full = run::executeJob(spec);
+  ASSERT_EQ(full.status, RunStatus::kDone);
+  spec.opts.checkpoint_every = 1;
+  spec.opts.checkpoint_path = spool + "/svc_job_1.ckpt";
+  spec.opts.max_iterations = kCut;
+  ASSERT_EQ(run::executeJob(spec).reach.iterations, kCut);
+  {
+    Journal j(dir, FsyncPolicy::kNever);
+    JournalRecord rec = acceptedRec(1, "legacy-1");
+    rec.line = line;
+    j.append(rec);
+    rec = JournalRecord{};
+    rec.event = JournalEvent::kDispatched;
+    rec.job = 1;
+    j.append(rec);
+    rec.event = JournalEvent::kCheckpointed;
+    for (rec.iteration = 1; rec.iteration <= kCut; ++rec.iteration) {
+      j.append(rec);
+    }
+  }
+  const std::size_t legacy_records = kCut + 2;
+
+  Server::Options opts = baseOptions(sock);
+  opts.journal_dir = dir;
+  opts.spool_dir = spool;
+  opts.journal_compact_on_shutdown = false;  // keep the log to count it
+  {
+    Server server(opts);
+    EXPECT_EQ(server.replayedJobs(), 1u);
+    server.start();
+    Client client("unix:" + sock, "alpha");
+    const std::uint64_t tag = client.submit(line, "legacy-1");
+    std::optional<std::uint64_t> job = client.awaitAdmission(tag);
+    ASSERT_TRUE(job.has_value());
+    EXPECT_EQ(*job, 1u);
+    const JobDone done = client.awaitDone(*job);
+    EXPECT_EQ(done.status, "done");
+    EXPECT_TRUE(done.resumed);
+    EXPECT_DOUBLE_EQ(done.states, full.reach.states);
+    EXPECT_EQ(done.iterations, full.reach.iterations);
+    client.bye();
+    EXPECT_EQ(server.dedupHits(), 1u);
+    server.requestShutdown(true);
+    server.waitStopped();
+  }
+  Journal j(dir, FsyncPolicy::kNever);
+  ASSERT_EQ(j.replayed().size(), legacy_records + 1);
+  const JournalRecord& last = j.replayed().back();
+  EXPECT_EQ(last.event, JournalEvent::kDone);
+  EXPECT_EQ(last.job, 1u);
+  EXPECT_EQ(last.status, "done");
 }
 
 // ---------------------------------------------------------------------------

@@ -8,14 +8,21 @@ to it, crashes included:
 
   * every job with an `accepted` record has exactly one `done` record
     (no lost jobs, no double execution across a kill -9 + restart);
-  * no `done`, `dispatched` or `checkpointed` record references a job
-    that was never accepted;
+  * no record other than `accepted` references a job that was never
+    accepted;
   * no idempotency key maps to more than one job id within its tenant (a
     duplicated Submit must be deduplicated, never re-admitted under a
     fresh id; keys are scoped per tenant, so two tenants may each use one
     key for a job of their own);
   * every record frame is well-formed (magic, version, event, CRC); a
     torn tail is tolerated and reported, torn *middles* are not.
+
+The server appends only `accepted` and `done` records. Events 2
+(`dispatched`) and 3 (`checkpointed`) are legacy records of journals an
+older server wrote; they are still accepted, and count only as records.
+
+The summary line reads "journal_check: R record(s), J accepted job(s),
+...", so a caller can hold R to 2 x J.
 
 Exit 0 when the contract holds, 1 with a per-violation report otherwise.
 

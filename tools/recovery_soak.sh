@@ -7,7 +7,7 @@
 # clients (reconnecting under their idempotency keys) finish the batch.
 # tools/journal_check.py then audits the un-compacted journal: every
 # accepted job terminal exactly once, no tenant's idempotency key admitted
-# twice.
+# twice, and exactly two records (accepted, done) per accepted job.
 #
 # Phase B — chaos-proxy soak: the same server behind tools/chaos_proxy.py
 # (seeded torn frames, mid-frame stalls, connection drops, duplicated
@@ -33,6 +33,22 @@ cleanup() {
   wait 2>/dev/null || true
 }
 trap cleanup EXIT
+
+# audit JOURNAL JOBS: journal_check.py's exactly-once audit, then two
+# records per accepted job, both counts read from its summary line.
+audit() {
+  local out
+  out=$(python3 tools/journal_check.py "$1" --expect-jobs "$2") || {
+    echo "$out"; return 1; }
+  echo "$out"
+  local re='journal_check: ([0-9]+) record\(s\), ([0-9]+) accepted'
+  [[ $out =~ $re ]] || { echo "no journal_check summary line" >&2; return 1; }
+  if (( BASH_REMATCH[1] != 2 * BASH_REMATCH[2] )); then
+    echo "${BASH_REMATCH[1]} records for ${BASH_REMATCH[2]} accepted jobs," \
+      "want 2 per job" >&2
+    return 1
+  fi
+}
 
 wait_port() {
   for _ in $(seq 1 150); do
@@ -90,7 +106,7 @@ wait "$CA"; wait "$CB"
   --shutdown=drain --quiet
 wait "$SRV"
 grep -q '"jobs_error": 0' SVC_recovery.json
-python3 tools/journal_check.py journal_recovery/journal.bin --expect-jobs 14
+audit journal_recovery/journal.bin 14
 cp journal_recovery/JOURNAL_recovery.json .
 
 echo "=== phase B: chaos proxy (torn/stall/drop/dup) + kill -9 restart ==="
@@ -121,7 +137,7 @@ wait "$SRV"
 kill -TERM "$PROXY" 2>/dev/null || true
 wait "$PROXY" 2>/dev/null || true
 grep -q '"jobs_error": 0' SVC_chaos.json
-python3 tools/journal_check.py journal_chaos/journal.bin --expect-jobs 6
+audit journal_chaos/journal.bin 6
 cp journal_chaos/JOURNAL_chaos.json .
 python3 - <<'EOF'
 import json
